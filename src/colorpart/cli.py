@@ -210,9 +210,12 @@ def cmd_verify(args, out) -> int:
         n = args.n if args.n is not None else min(args.nmax, 6)
         for name in names:
             report = bijections.verify_bijection(name, n)
-            out.write("%s bijection %s at n=%d (domain %d)\n"
-                      % ("PASS" if report.ok else "FAIL", name, n,
-                         report.domain_size))
+            status, skipped = ("PASS" if report.ok else "FAIL"), ""
+            if report.ok and report.codomain_size is None:
+                status = "PARTIAL"
+                skipped = "; surjectivity not checked: codomain not enumerated"
+            out.write("%s bijection %s at n=%d (domain %d%s)\n"
+                      % (status, name, n, report.domain_size, skipped))
             for failure in (report.round_trip_failures
                             + report.membership_failures)[:5]:
                 out.write("  %s\n" % failure)
@@ -263,6 +266,13 @@ def cmd_bijection(args, out) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colorpart",
@@ -273,12 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, nmax=False):
         p.add_argument("-p", "--patterns", default="",
                        help="comma-separated pattern set, e.g. 1^11^2,1^21^1")
-        p.add_argument("-k", "--colors", type=int, default=2)
+        p.add_argument("-k", "--colors", type=positive_int, default=2)
         p.add_argument("--sense", type=Sense, choices=list(Sense),
                        default=Sense.PATTERN)
         p.add_argument("--format", choices=["table", "json", "csv"],
                        default="table")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=positive_int, default=1)
         p.add_argument("--naive", action="store_true",
                        help="force full enumeration (oracle mode)")
         if nmax:
@@ -313,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("-n", "--n", type=int, default=None,
                        help="size for bijection verification")
     p_ver.add_argument("--nmax", type=int, default=6)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=positive_int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 
     p_bij = sub.add_parser("bijection", help="apply a bijection to one object")

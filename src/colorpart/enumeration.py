@@ -1,10 +1,12 @@
 """Exhaustive generation and avoidance counting.
 
-Counting walks the space of colored canonical words element by element.
-When every forbidden pattern has length 2, a branch is abandoned as soon
-as a forbidden copy appears (containment is monotone under extension);
-`naive=True` forces the full enumeration for oracle duty.  The search
-space splits cleanly by word prefix, which is how `jobs > 1` fans out.
+When every forbidden pattern has length 2, what a new element may not
+complete is compiled into two bitmask tables over block color masks.
+Counting runs a transfer DP over the multiset of block color masks, and
+`iter_avoiders` walks the colored words by a DFS pruned with the same
+tables.  Any longer pattern, or `naive=True` (oracle duty), falls back
+to full enumeration; only that path splits the search by word prefix
+across `jobs` processes.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
-from .avoidance import Sense, avoids_all, contains_colored
+from .avoidance import Sense, _color_match, avoids_all, contains_colored
 from .core import ColoredPartition, ColoredPattern, print_pattern_set
 
 PREFIX_SPLIT_LENGTH = 4
@@ -71,100 +74,63 @@ def iter_colored(n: int, k: int = 2) -> Iterator[ColoredPartition]:
 
 # --- compiled pattern checks for the counting core ----------------------
 
-def _compile(patterns: Sequence[ColoredPattern], sense: Sense):
-    """Length-2 patterns as (same_block, mode, c1, c2) tuples.
+def _compile(patterns: Sequence[ColoredPattern], sense: Sense, k: int):
+    """What a length-2 pattern set forbids, as (same_bad, diff_bad), or None.
 
-    mode for the pattern sense encodes the color relation of a copy:
-    'eq' (equal colors), 'asc' (strictly rising), 'desc' (strictly
-    falling).  For EQ/LT senses the raw colors c1, c2 are used.
+    Bit c' of same_bad[c] is set when an earlier element of color c' in
+    the same block as a new element of color c completes a copy in the
+    given sense; diff_bad[c] does the same for an earlier element in
+    another block.  None when some pattern is not of length 2.
     """
-    comp = []
+    same_bad = [0] * (k + 1)
+    diff_bad = [0] * (k + 1)
     for pi in patterns:
         if pi.n != 2:
             return None
-        same = pi.word == (1, 1)
-        if sense is Sense.PATTERN:
-            rc = pi.reduced_colors
-            mode = {(1, 1): "eq", (1, 2): "asc", (2, 1): "desc"}[rc]
-            comp.append((same, mode, 0, 0))
-        elif sense is Sense.EQ:
-            comp.append((same, "exact", pi.colors[0], pi.colors[1]))
-        else:
-            comp.append((same, "atmost", pi.colors[0], pi.colors[1]))
-    return comp
+        table = same_bad if pi.word == (1, 1) else diff_bad
+        for c in range(1, k + 1):
+            for cp in range(1, k + 1):
+                if _color_match((cp, c), pi, sense):
+                    table[c] |= 1 << cp
+    return same_bad, diff_bad
 
 
-def _new_copy(comp, block_counts, total_counts, b, c, k) -> bool:
-    """Would appending an element with block b and color c complete a copy?
+def _others(own: int, holders: Sequence[int]) -> int:
+    """Colors held by a block other than one whose color mask is `own`.
 
-    block_counts[b][c] counts earlier elements of block b with color c;
-    total_counts[c] counts all earlier elements with color c.
+    holders[c] counts the blocks holding color c; two blocks may share it.
     """
-    bc = block_counts[b]
-    for same, mode, c1, c2 in comp:
-        if mode == "eq":
-            prev = bc[c] if same else total_counts[c] - bc[c]
-            if prev:
-                return True
-        elif mode == "asc":
-            for cp in range(1, c):
-                prev = bc[cp] if same else total_counts[cp] - bc[cp]
-                if prev:
-                    return True
-        elif mode == "desc":
-            for cp in range(c + 1, k + 1):
-                prev = bc[cp] if same else total_counts[cp] - bc[cp]
-                if prev:
-                    return True
-        elif mode == "exact":
-            if c == c2:
-                prev = bc[c1] if same else total_counts[c1] - bc[c1]
-                if prev:
-                    return True
-        else:  # atmost
-            if c <= c2:
-                for cp in range(1, c1 + 1):
-                    prev = bc[cp] if same else total_counts[cp] - bc[cp]
-                    if prev:
-                        return True
-    return False
+    return sum(1 << c for c, h in enumerate(holders) if h > (own >> c & 1))
 
 
-def _count_pruned(n, k, comp, word_prefix=()):
-    """Avoiders whose word extends `word_prefix`, counted by pruned DFS."""
-    count = 0
-    word = list(word_prefix) + [0] * (n - len(word_prefix))
-    colors = [0] * n
-    block_counts = [[0] * (k + 1) for _ in range(n + 2)]
-    total_counts = [0] * (k + 1)
-    plen = len(word_prefix)
+def _count_dp(n, k, tables):
+    """Avoiders counted by a transfer DP over the block color masks.
 
-    def walk(t, top):
-        nonlocal count
-        if t == n:
-            count += 1
-            return
-        if t < plen:
-            bs = (word[t],)
-        else:
-            bs = range(1, top + 2)
-        for b in bs:
-            bc = block_counts[b]
-            for c in range(1, k + 1):
-                if _new_copy(comp, block_counts, total_counts, b, c, k):
-                    continue
-                word[t] = b
-                colors[t] = c
-                bc[c] += 1
-                total_counts[c] += 1
-                walk(t + 1, max(top, b))
-                bc[c] -= 1
-                total_counts[c] -= 1
-        if t >= plen:
-            word[t] = 0
-
-    walk(0, 0)
-    return count
+    Whether a new element completes a length-2 copy depends only on its
+    color, its own block's color mask and the union of the other blocks'
+    masks, so the sorted tuple of block masks is a complete state.  Its
+    weight is the number of colored partial partitions that reach it.
+    """
+    same_bad, diff_bad = tables
+    states = {(): 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = {}
+        for state, weight in states.items():
+            holders = [sum(m >> c & 1 for m in state) for c in range(k + 1)]
+            # each existing block, weighted by how many share its mask,
+            # then a new block
+            for own, mult in itertools.chain(Counter(state).items(), ((0, 1),)):
+                others = _others(own, holders)
+                rest = list(state)
+                if own:
+                    rest.remove(own)
+                for c in range(1, k + 1):
+                    if own & same_bad[c] or others & diff_bad[c]:
+                        continue
+                    key = tuple(sorted(rest + [own | 1 << c]))
+                    nxt[key] = nxt.get(key, 0) + weight * mult
+        states = nxt
+    return sum(states.values())
 
 
 def _count_naive(n, k, patterns, sense, word_prefix=()):
@@ -179,15 +145,9 @@ def _count_naive(n, k, patterns, sense, word_prefix=()):
 
 
 def _count_worker(args):
-    n, k, pattern_keys, sense_value, naive, prefix = args
+    n, k, pattern_keys, sense_value, prefix = args
     patterns = tuple(ColoredPattern(w, c, k) for w, c in pattern_keys)
-    sense = Sense(sense_value)
-    if naive:
-        return _count_naive(n, k, patterns, sense, prefix)
-    comp = _compile(patterns, sense)
-    if comp is None:
-        return _count_naive(n, k, patterns, sense, prefix)
-    return _count_pruned(n, k, comp, prefix)
+    return _count_naive(n, k, patterns, Sense(sense_value), prefix)
 
 
 def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
@@ -199,50 +159,50 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
     patterns = tuple(patterns)
     if n == 0:
         return 1
-    if jobs > 1 and n > PREFIX_SPLIT_LENGTH:
-        plen = min(n, PREFIX_SPLIT_LENGTH)
-        prefixes = list(iter_rgs(plen))
+    tables = None if naive else _compile(patterns, sense, k)
+    if tables is not None:
+        return _count_dp(n, k, tables)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1 and n > PREFIX_SPLIT_LENGTH:
         keys = tuple((p.word, p.colors) for p in patterns)
-        tasks = [(n, k, keys, sense.value, naive, p) for p in prefixes]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        tasks = [(n, k, keys, sense.value, p) for p in iter_rgs(PREFIX_SPLIT_LENGTH)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(_count_worker, tasks, chunksize=4))
-    if naive:
-        return _count_naive(n, k, patterns, sense)
-    comp = _compile(patterns, sense)
-    if comp is None:
-        return _count_naive(n, k, patterns, sense)
-    return _count_pruned(n, k, comp)
+    return _count_naive(n, k, patterns, sense)
 
 
 def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
                   sense: Sense = Sense.PATTERN) -> Iterator[ColoredPartition]:
-    """Generate the avoiders of a length-2 pattern set by pruned DFS."""
+    """Generate the avoiders, by pruned DFS for a length-2 pattern set."""
     patterns = tuple(patterns)
-    comp = _compile(patterns, sense)
-    if comp is None:
+    tables = _compile(patterns, sense, k)
+    if tables is None:
         yield from (s for s in iter_colored(n, k) if avoids_all(s, patterns, sense))
         return
+    same_bad, diff_bad = tables
     word = [0] * n
     colors = [0] * n
-    block_counts = [[0] * (k + 1) for _ in range(n + 2)]
-    total_counts = [0] * (k + 1)
+    masks = [0] * (n + 2)     # masks[b]: colors in block b
+    holders = [0] * (k + 1)   # holders[c]: blocks holding color c
 
     def walk(t, top):
         if t == n:
             yield ColoredPartition(tuple(word), tuple(colors), k)
             return
         for b in range(1, top + 2):
-            bc = block_counts[b]
+            own = masks[b]
+            others = _others(own, holders)
             for c in range(1, k + 1):
-                if _new_copy(comp, block_counts, total_counts, b, c, k):
+                if own & same_bad[c] or others & diff_bad[c]:
                     continue
                 word[t] = b
                 colors[t] = c
-                bc[c] += 1
-                total_counts[c] += 1
+                fresh = not own >> c & 1
+                masks[b] = own | 1 << c
+                holders[c] += fresh
                 yield from walk(t + 1, max(top, b))
-                bc[c] -= 1
-                total_counts[c] -= 1
+                masks[b] = own
+                holders[c] -= fresh
 
     yield from walk(0, 0)
 
@@ -250,7 +210,7 @@ def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
 def avoider_set(n: int, k: int, patterns: Sequence[ColoredPattern],
                 sense: Sense = Sense.PATTERN) -> set[ColoredPartition]:
     """The avoiders themselves (for set-identity checks; small n only)."""
-    return {s for s in iter_colored(n, k) if avoids_all(s, patterns, sense)}
+    return set(iter_avoiders(n, k, patterns, sense))
 
 
 @dataclass(frozen=True)

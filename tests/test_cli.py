@@ -109,6 +109,15 @@ class TestVerify:
         assert code == 0
         assert "PASS bijection f at n=4 (domain 43)" in out
 
+    def test_skipped_surjectivity_is_partial(self, capsys, monkeypatch):
+        # as when the permutation host is too large to enumerate (m > 8)
+        monkeypatch.setattr("colorpart.bijections._perm_codomain",
+                            lambda m, predicate: None)
+        code, out, _ = run(capsys, "verify", "--bijection", "f", "-n", "4")
+        assert code == 0
+        assert out == ("PARTIAL bijection f at n=4 (domain 43; surjectivity "
+                       "not checked: codomain not enumerated)\n")
+
     def test_no_target_is_usage_error(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 2
@@ -147,6 +156,20 @@ class TestErrorsAndCaps:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "count", "--bogus", "-n", "3")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "-p", "", "-n", "3", "-k", "0"],
+        ["count", "-p", "", "-n", "3", "-k", "-1"],
+        ["sequence", "-p", "1^11^2", "-k", "0"],
+        ["count", "-p", "1^11^2", "-n", "3", "--jobs", "0"],
+        ["classify", "--jobs", "-3"],
+        ["verify", "--tables", "--jobs", "0"],
+    ])
+    def test_nonpositive_colors_and_jobs(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be at least 1" in err
 
     def test_nmax_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PPL_NMAX_CAP", "5")

@@ -1,9 +1,16 @@
 import itertools
+import random
 
 import pytest
 
-from colorpart.avoidance import Sense
-from colorpart.core import color_complement, parse_pattern_set, print_pattern_set
+from colorpart import enumeration
+from colorpart.avoidance import Sense, contains_colored
+from colorpart.core import (
+    ColoredPattern,
+    color_complement,
+    parse_pattern_set,
+    print_pattern_set,
+)
 from colorpart.enumeration import (
     avoidance_sequence,
     avoider_set,
@@ -18,7 +25,7 @@ from colorpart.enumeration import (
     verify_color_symmetries,
     wilf_classify,
 )
-from colorpart.formulas import bell
+from colorpart.formulas import REGISTRY, bell, closed_form
 
 
 class TestGenerators:
@@ -77,9 +84,37 @@ class TestCountAvoiders:
                     count_avoiders(n, 2, S, sense, naive=True)
 
     def test_parallel_matches_sequential(self):
-        S = parse_pattern_set("1^11^2,1^22^1")
-        for n in (5, 6, 7):
-            assert count_avoiders(n, 2, S, jobs=2) == count_avoiders(n, 2, S)
+        # only full enumeration fans out: a length-3 set, or naive=True
+        for text, naive in (("1^12^11^2", False), ("1^11^2,1^22^1", True)):
+            S = parse_pattern_set(text)
+            for n in (5, 6):
+                assert count_avoiders(n, 2, S, naive=naive, jobs=2) == \
+                    count_avoiders(n, 2, S, naive=naive)
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        S = parse_pattern_set("1^12^11^2")
+        assert count_avoiders(5, 2, S, jobs=64) == count_avoiders(5, 2, S)
+        assert started == [2]
+        # a length-2 set is counted in-process whatever jobs is
+        count_avoiders(7, 2, parse_pattern_set("1^11^2"), jobs=2)
+        assert started == [2]
 
     def test_iter_avoiders_consistent(self):
         S = parse_pattern_set("1^12^1,1^22^1")
@@ -101,6 +136,48 @@ class TestCountAvoiders:
         Sc = tuple(color_complement(p) for p in S)
         for n in range(1, 7):
             assert count_avoiders(n, 2, S) == count_avoiders(n, 2, Sc)
+
+
+class TestDPAgainstOracles:
+    """The DP count against the pruned DFS, full enumeration and closed forms."""
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_all_subsets_of_canonical_six(self, sense):
+        six = canonical_pair_patterns()
+        for n in range(1, 7):
+            # one full sweep gives every subset's brute-force count: an
+            # element avoids S iff its containment mask misses S's mask
+            hist = {}
+            for sigma in iter_colored(n, 2):
+                mask = sum(1 << i for i, pi in enumerate(six)
+                           if contains_colored(sigma, pi, sense))
+                hist[mask] = hist.get(mask, 0) + 1
+            for smask in range(64):
+                S = [pi for i, pi in enumerate(six) if smask >> i & 1]
+                brute = sum(v for mask, v in hist.items() if not mask & smask)
+                dp = count_avoiders(n, 2, S, sense)
+                assert dp == len(list(iter_avoiders(n, 2, S, sense))) == brute
+                if n <= 4:
+                    assert dp == count_avoiders(n, 2, S, sense, naive=True)
+
+    @pytest.mark.parametrize("sense", [Sense.EQ, Sense.LT])
+    def test_sampled_three_color_sets(self, sense):
+        pats = [ColoredPattern(w, c, 3) for w in ((1, 1), (1, 2))
+                for c in itertools.product((1, 2, 3), repeat=2)]
+        rng = random.Random(3)
+        for _ in range(12):
+            S = rng.sample(pats, rng.randint(1, 4))
+            for n in range(1, 5):
+                dp = count_avoiders(n, 3, S, sense)
+                assert dp == len(list(iter_avoiders(n, 3, S, sense)))
+                assert dp == count_avoiders(n, 3, S, sense, naive=True)
+
+    def test_registry_closed_forms_to_20(self):
+        for entry in REGISTRY:
+            for S in entry.pattern_sets:
+                for n in range(entry.min_n, 21):
+                    assert count_avoiders(n, 2, S) == closed_form(entry, n), \
+                        (entry.label, print_pattern_set(S), n)
 
 
 class TestSequencesAndClasses:
