@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 from .avoidance import Sense, _color_match, avoids_all, contains_colored
@@ -184,10 +184,14 @@ def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
     colors = [0] * n
     masks = [0] * (n + 2)     # masks[b]: colors in block b
     holders = [0] * (k + 1)   # holders[c]: blocks holding color c
+    # one tuple per word, shared by its avoiders as iter_colored shares it,
+    # keeps large avoider sets small
+    words: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def walk(t, top):
         if t == n:
-            yield ColoredPartition(tuple(word), tuple(colors), k)
+            w = tuple(word)
+            yield ColoredPartition(words.setdefault(w, w), tuple(colors), k)
             return
         for b in range(1, top + 2):
             own = masks[b]
