@@ -8,6 +8,11 @@ Colored partition patterns can be matched in three senses:
 * lt -- the colors on the copy are elementwise at most the pattern's
   colors.
 
+What a set of length-2 patterns forbids is compiled once, by
+`pair_tables`, into two bitmask tables over colors; the length-2
+containment scan and the counting engines all read them.  Longer
+patterns are matched by subset enumeration.
+
 Vincular (dashed) permutation patterns are matched with adjacency
 constraints on bonded positions.
 """
@@ -15,8 +20,8 @@ constraints on bonded positions.
 from __future__ import annotations
 
 import enum
-from itertools import combinations
-from typing import Iterable
+import functools
+from typing import Iterable, Sequence
 
 from .core import (
     ColoredPartition,
@@ -85,39 +90,45 @@ def contains_colored_generic(sigma: ColoredPartition, pi: ColoredPattern,
     return extend([], {})
 
 
+@functools.lru_cache(maxsize=1024)
+def pair_tables(patterns: tuple[ColoredPattern, ...], sense: Sense, k: int):
+    """What a length-2 pattern set forbids, as (same_bad, diff_bad), or None.
+
+    Bit c' of same_bad[c] is set when an earlier element of color c' in
+    the same block as a new element of color c completes a copy in the
+    given sense; diff_bad[c] does the same for an earlier element in
+    another block.  None when some pattern is not of length 2.  The
+    tables are memoized, so `patterns` must be a tuple.
+    """
+    same_bad = [0] * (k + 1)
+    diff_bad = [0] * (k + 1)
+    for pi in patterns:
+        if pi.n != 2:
+            return None
+        table = same_bad if pi.word == (1, 1) else diff_bad
+        for c in range(1, k + 1):
+            for cp in range(1, k + 1):
+                if _color_match((cp, c), pi, sense):
+                    table[c] |= 1 << cp
+    return tuple(same_bad), tuple(diff_bad)
+
+
+def others_mask(own: int, holders: Sequence[int]) -> int:
+    """Colors held by a block other than one whose color mask is `own`.
+
+    holders[c] counts the blocks holding color c; two blocks may share it.
+    """
+    return sum(1 << c for c, h in enumerate(holders) if h > (own >> c & 1))
+
+
 def _contains_pair(sigma: ColoredPartition, pi: ColoredPattern, sense: Sense) -> bool:
     # Constant-space scan for length-2 patterns: the hot path.
-    same_block = pi.word == (1, 1)
+    same_bad, diff_bad = pair_tables((pi,), sense, sigma.k)
     word, colors = sigma.word, sigma.colors
-    n = sigma.n
-    if sense is Sense.PATTERN:
-        pc = pi.reduced_colors
-        for j in range(1, n):
-            bj, cj = word[j], colors[j]
-            for i in range(j):
-                if (word[i] == bj) != same_block:
-                    continue
-                ci = colors[i]
-                if pc == (1, 1):
-                    if ci == cj:
-                        return True
-                elif pc == (1, 2):
-                    if ci < cj:
-                        return True
-                elif ci > cj:
-                    return True
-        return False
-    c1, c2 = pi.colors
-    for j in range(1, n):
-        bj, cj = word[j], colors[j]
+    for j in range(1, sigma.n):
+        bj, same, diff = word[j], same_bad[colors[j]], diff_bad[colors[j]]
         for i in range(j):
-            if (word[i] == bj) != same_block:
-                continue
-            ci = colors[i]
-            if sense is Sense.EQ:
-                if ci == c1 and cj == c2:
-                    return True
-            elif ci <= c1 and cj <= c2:
+            if (same if word[i] == bj else diff) >> colors[i] & 1:
                 return True
     return False
 

@@ -13,7 +13,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .avoidance import Sense, avoids_vincular, begins_with_ascent
+from .avoidance import (
+    Sense,
+    avoids_vincular,
+    begins_with_ascent,
+    contains_colored,
+    contains_vincular,
+)
 from .core import (
     ColoredPartition,
     ColoredPattern,
@@ -24,7 +30,7 @@ from .core import (
     parse_vincular,
     reduce_word,
 )
-from .enumeration import iter_avoiders, iter_rgs
+from .enumeration import avoider_set, iter_avoiders, iter_rgs
 
 PAT_12_3 = parse_vincular("12-3")
 PAT_214_3 = parse_vincular("214-3")
@@ -45,8 +51,11 @@ class DomainError(PartitionError):
 
 
 def _require_avoids(sigma: ColoredPartition, patterns, what: str) -> None:
+    # every domain and codomain here is 2-colored
+    if any(c > 2 for c in sigma.colors):
+        raise DomainError("%s has a color above 2, outside the %s domain"
+                          % (sigma.word_text(), what))
     for pi in patterns:
-        from .avoidance import contains_colored
         if contains_colored(sigma, pi, Sense.PATTERN):
             raise DomainError(
                 "%s contains %s, outside the %s domain"
@@ -55,7 +64,6 @@ def _require_avoids(sigma: ColoredPartition, patterns, what: str) -> None:
 
 def _require_perm_avoids(q: Permutation, patterns, what: str) -> None:
     for p in patterns:
-        from .avoidance import contains_vincular
         if contains_vincular(q, p):
             raise DomainError(
                 "%s contains %s, outside the %s domain" % (q.text(), p.text(), what))
@@ -313,10 +321,6 @@ def _perm_codomain(m: int, predicate) -> set[Permutation] | None:
             if predicate(Permutation(p))}
 
 
-def _partition_codomain(n: int, patterns) -> set[ColoredPartition]:
-    return set(iter_avoiders(n, 2, patterns))
-
-
 def verify_bijection(name: str, n: int) -> BijectionReport:
     """Exhaustively check one named bijection at size n.
 
@@ -349,17 +353,17 @@ def verify_bijection(name: str, n: int) -> BijectionReport:
         forward, backward = bij_g, None
     elif name == "class2":
         domain = list(iter_avoiders(n, 2, CLASS2_DOMAIN))
-        codomain = _partition_codomain(n, CLASS2_CODOMAIN)
+        codomain = avoider_set(n, 2, CLASS2_CODOMAIN)
         member = codomain.__contains__
         forward, backward = bij_class2_pairs, bij_class2_pairs_inv
     elif name == "class3a":
         domain = list(iter_avoiders(n, 2, CLASS3A_DOMAIN))
-        codomain = _partition_codomain(n, CLASS3A_CODOMAIN)
+        codomain = avoider_set(n, 2, CLASS3A_CODOMAIN)
         member = codomain.__contains__
         forward, backward = bij_class3_structural, bij_class3_structural_inv
     elif name == "class3b":
         domain = list(iter_avoiders(n, 2, CLASS3B_DOMAIN))
-        codomain = _partition_codomain(n, CLASS3B_CODOMAIN)
+        codomain = avoider_set(n, 2, CLASS3B_CODOMAIN)
         member = codomain.__contains__
         forward, backward = bij_class3_colorswap, bij_class3_colorswap_inv
     else:

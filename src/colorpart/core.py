@@ -194,9 +194,9 @@ def color_complement(pi: ColoredPattern) -> ColoredPattern:
 #
 # pattern := element+        element := BLOCK '^' COLOR
 #
-# Whitespace between elements is optional.  In unspaced text the color is
-# taken to be a single digit (1^12^2 parses as 1^1 2^2); separate the
-# elements with whitespace to use colors >= 10.
+# Whitespace between elements is optional.  A whitespace-separated token
+# that is exactly one element keeps every digit of its color (1^1 2^12);
+# in unspaced text the color is a single digit (1^12^2 parses as 1^1 2^2).
 
 _ELEMENT = re.compile(r"(\d+)\^(\d+)")
 _ELEMENT_DENSE = re.compile(r"(\d+)\^(\d)")
@@ -204,25 +204,18 @@ _ELEMENT_DENSE = re.compile(r"(\d+)\^(\d)")
 
 def _parse_elements(text: str) -> list[tuple[int, int]]:
     tokens = text.split()
-    if len(tokens) > 1:
-        pairs = []
-        for tok in tokens:
-            pairs.extend(_parse_elements(tok))
-        return pairs
-    text = text.strip()
-    if not text:
+    if not tokens:
         raise PatternSyntaxError("empty pattern")
     pairs = []
-    pos = 0
-    while pos < len(text):
-        m = _ELEMENT_DENSE.match(text, pos)
-        if m is None:
-            # lone trailing element may carry a multi-digit color
-            m = _ELEMENT.match(text, pos)
-            if m is None or m.end() != len(text):
+    for tok in tokens:
+        whole = _ELEMENT.fullmatch(tok)
+        pos = 0
+        while pos < len(tok):
+            m = whole or _ELEMENT_DENSE.match(tok, pos)
+            if m is None:
                 raise PatternSyntaxError("malformed element", pos)
-        pairs.append((int(m.group(1)), int(m.group(2))))
-        pos = m.end()
+            pairs.append((int(m.group(1)), int(m.group(2))))
+            pos = m.end()
     return pairs
 
 

@@ -1,16 +1,16 @@
 """Exhaustive generation and avoidance counting.
 
-When every forbidden pattern has length 2, what a new element may not
-complete is compiled into two bitmask tables over block color masks.
-Counting runs a transfer DP over the multiset of block color masks, and
-`iter_avoiders` walks the colored words by a DFS pruned with the same
-tables.  Any longer pattern, or `naive=True` (oracle duty), falls back
-to full enumeration; only that path splits the search by word prefix
-across `jobs` processes.
+When every forbidden pattern has length 2, counting runs a transfer DP
+over the multiset of block color masks, and `iter_avoiders` walks the
+colored words by a DFS; both prune with the `avoidance.pair_tables` of
+the set.  Any longer pattern, or `naive=True` (oracle duty), falls back
+to full enumeration over `iter_colored`; only that path splits the
+search by word prefix across `jobs` processes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -18,27 +18,33 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .avoidance import Sense, _color_match, avoids_all, contains_colored
-from .core import ColoredPartition, ColoredPattern, print_pattern_set
+from .avoidance import Sense, avoids_all, others_mask, pair_tables
+from .core import ColoredPartition, ColoredPattern, is_rgs, print_pattern_set
 
 PREFIX_SPLIT_LENGTH = 4
 
 
-def iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
-    """All restricted growth strings of length n, lexicographically."""
+def iter_rgs(n: int, prefix: Sequence[int] = ()) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings of length n starting with `prefix`, lexicographically."""
+    prefix = tuple(prefix)
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if len(prefix) > n:
+        raise ValueError("prefix longer than n")
+    if not is_rgs(prefix):
+        raise ValueError("prefix %r is not a restricted growth string" % (prefix,))
     if n == 0:
         yield ()
         return
-    word = [1] * n
-    tops = [1] * n  # tops[i] = max of word[:i+1]
+    word = list(prefix) + [1] * (n - len(prefix))
+    tops = list(itertools.accumulate(word, max))  # tops[i] = max of word[:i+1]
+    fixed = max(len(prefix), 1)  # word[:fixed] never changes; word[0] is 1
     while True:
         yield tuple(word)
         i = n - 1
-        while i > 0 and word[i] == tops[i - 1] + 1:
+        while i >= fixed and word[i] == tops[i - 1] + 1:
             i -= 1
-        if i == 0:
+        if i < fixed:
             return
         word[i] += 1
         tops[i] = max(tops[i - 1], word[i])
@@ -47,61 +53,15 @@ def iter_rgs(n: int) -> Iterator[tuple[int, ...]]:
             tops[j] = tops[i]
 
 
-def iter_rgs_with_prefix(prefix: Sequence[int], n: int) -> Iterator[tuple[int, ...]]:
-    """RGS of length n extending `prefix`, lexicographically."""
-    prefix = tuple(prefix)
-    if len(prefix) > n:
-        raise ValueError("prefix longer than n")
-
-    def extend(word, top):
-        if len(word) == n:
-            yield tuple(word)
-            return
-        for b in range(1, top + 2):
-            word.append(b)
-            yield from extend(word, max(top, b))
-            word.pop()
-
-    yield from extend(list(prefix), max(prefix, default=0))
-
-
-def iter_colored(n: int, k: int = 2) -> Iterator[ColoredPartition]:
-    """All of Pi_n wr C_k, word-major, colors varying fastest."""
-    for word in iter_rgs(n):
+def iter_colored(n: int, k: int = 2,
+                 prefix: Sequence[int] = ()) -> Iterator[ColoredPartition]:
+    """Pi_n wr C_k, words starting with `prefix`; word-major, colors varying fastest."""
+    for word in iter_rgs(n, prefix):
         for colors in itertools.product(range(1, k + 1), repeat=n):
             yield ColoredPartition(word, colors, k)
 
 
-# --- compiled pattern checks for the counting core ----------------------
-
-def _compile(patterns: Sequence[ColoredPattern], sense: Sense, k: int):
-    """What a length-2 pattern set forbids, as (same_bad, diff_bad), or None.
-
-    Bit c' of same_bad[c] is set when an earlier element of color c' in
-    the same block as a new element of color c completes a copy in the
-    given sense; diff_bad[c] does the same for an earlier element in
-    another block.  None when some pattern is not of length 2.
-    """
-    same_bad = [0] * (k + 1)
-    diff_bad = [0] * (k + 1)
-    for pi in patterns:
-        if pi.n != 2:
-            return None
-        table = same_bad if pi.word == (1, 1) else diff_bad
-        for c in range(1, k + 1):
-            for cp in range(1, k + 1):
-                if _color_match((cp, c), pi, sense):
-                    table[c] |= 1 << cp
-    return same_bad, diff_bad
-
-
-def _others(own: int, holders: Sequence[int]) -> int:
-    """Colors held by a block other than one whose color mask is `own`.
-
-    holders[c] counts the blocks holding color c; two blocks may share it.
-    """
-    return sum(1 << c for c, h in enumerate(holders) if h > (own >> c & 1))
-
+# --- counting ------------------------------------------------------------
 
 def _count_dp(n, k, tables):
     """Avoiders counted by a transfer DP over the block color masks.
@@ -120,7 +80,7 @@ def _count_dp(n, k, tables):
             # each existing block, weighted by how many share its mask,
             # then a new block
             for own, mult in itertools.chain(Counter(state).items(), ((0, 1),)):
-                others = _others(own, holders)
+                others = others_mask(own, holders)
                 rest = list(state)
                 if own:
                     rest.remove(own)
@@ -133,21 +93,9 @@ def _count_dp(n, k, tables):
     return sum(states.values())
 
 
-def _count_naive(n, k, patterns, sense, word_prefix=()):
+def _count_naive(n, k, patterns, sense, prefix=()):
     """Full-enumeration oracle: test every colored partition."""
-    count = 0
-    for word in iter_rgs_with_prefix(word_prefix, n):
-        for cols in itertools.product(range(1, k + 1), repeat=n):
-            sigma = ColoredPartition(word, cols, k)
-            if avoids_all(sigma, patterns, sense):
-                count += 1
-    return count
-
-
-def _count_worker(args):
-    n, k, pattern_keys, sense_value, prefix = args
-    patterns = tuple(ColoredPattern(w, c, k) for w, c in pattern_keys)
-    return _count_naive(n, k, patterns, Sense(sense_value), prefix)
+    return sum(1 for s in iter_colored(n, k, prefix) if avoids_all(s, patterns, sense))
 
 
 def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
@@ -159,15 +107,14 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
     patterns = tuple(patterns)
     if n == 0:
         return 1
-    tables = None if naive else _compile(patterns, sense, k)
+    tables = None if naive else pair_tables(patterns, sense, k)
     if tables is not None:
         return _count_dp(n, k, tables)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and n > PREFIX_SPLIT_LENGTH:
-        keys = tuple((p.word, p.colors) for p in patterns)
-        tasks = [(n, k, keys, sense.value, p) for p in iter_rgs(PREFIX_SPLIT_LENGTH)]
+        count = functools.partial(_count_naive, n, k, patterns, sense)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(_count_worker, tasks, chunksize=4))
+            return sum(pool.map(count, iter_rgs(PREFIX_SPLIT_LENGTH), chunksize=4))
     return _count_naive(n, k, patterns, sense)
 
 
@@ -175,7 +122,7 @@ def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
                   sense: Sense = Sense.PATTERN) -> Iterator[ColoredPartition]:
     """Generate the avoiders, by pruned DFS for a length-2 pattern set."""
     patterns = tuple(patterns)
-    tables = _compile(patterns, sense, k)
+    tables = pair_tables(patterns, sense, k)
     if tables is None:
         yield from (s for s in iter_colored(n, k) if avoids_all(s, patterns, sense))
         return
@@ -195,7 +142,7 @@ def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
             return
         for b in range(1, top + 2):
             own = masks[b]
-            others = _others(own, holders)
+            others = others_mask(own, holders)
             for c in range(1, k + 1):
                 if own & same_bad[c] or others & diff_bad[c]:
                     continue
@@ -297,6 +244,12 @@ def containment_profiles(n: int, k: int = 2) -> dict[int, int]:
     S's mask.
     """
     full = (1 << 6) - 1
+    six = [pair_tables((pi,), Sense.PATTERN, k) for pi in canonical_pair_patterns(k)]
+    # hits[side][cj][ci]: the canonical patterns that an earlier element of
+    # color ci completes with a later one of color cj, read from same_bad
+    # (side 0: one block) or diff_bad (side 1: two blocks)
+    hits = [[[sum(1 << b for b, tables in enumerate(six) if tables[side][cj] >> ci & 1)
+              for ci in range(k + 1)] for cj in range(k + 1)] for side in (0, 1)]
     hist: dict[int, int] = {}
     for word in iter_rgs(n):
         same = [[i for i in range(j) if word[i] == word[j]] for j in range(n)]
@@ -304,29 +257,14 @@ def containment_profiles(n: int, k: int = 2) -> dict[int, int]:
         for cols in itertools.product(range(1, k + 1), repeat=n):
             mask = 0
             for j in range(1, n):
-                cj = cols[j]
+                same_hit, diff_hit = hits[0][cols[j]], hits[1][cols[j]]
                 for i in same[j]:
-                    ci = cols[i]
-                    if ci == cj:
-                        mask |= 1
-                    elif ci < cj:
-                        mask |= 2
-                    else:
-                        mask |= 4
+                    mask |= same_hit[cols[i]]
                 for i in diff[j]:
-                    ci = cols[i]
-                    if ci == cj:
-                        mask |= 8
-                    elif ci < cj:
-                        mask |= 16
-                    else:
-                        mask |= 32
+                    mask |= diff_hit[cols[i]]
                 if mask == full:
                     break
-            if mask == full:
-                hist[full] = hist.get(full, 0) + 1
-            else:
-                hist[mask] = hist.get(mask, 0) + 1
+            hist[mask] = hist.get(mask, 0) + 1
     return hist
 
 

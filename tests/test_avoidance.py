@@ -82,6 +82,16 @@ class TestContainsColored:
                     assert contains_colored(sigma, pi, sense) == expected
                     assert contains_colored_generic(sigma, pi, sense) == expected
 
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_matches_pairwise_oracle_three_colors(self, sense):
+        pats = [ColoredPattern(w, c, 3) for w in ((1, 1), (1, 2))
+                for c in product((1, 2, 3), repeat=2)]
+        for n in range(1, 5):
+            for sigma in iter_colored(n, 3):
+                for pi in pats:
+                    assert contains_colored(sigma, pi, sense) == \
+                        pairwise_oracle(sigma, pi, sense)
+
     def test_generic_agrees_at_n7_sample(self):
         pats = canonical_pair_patterns()
         for idx, sigma in enumerate(iter_colored(7, 2)):

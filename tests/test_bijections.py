@@ -64,6 +64,20 @@ class TestF:
             bij_f(parse_blocks("1^12^1"))  # word 1^11^1 contains 1^11^1
 
 
+class TestTwoColorDomains:
+    @pytest.mark.parametrize("fn", [
+        bij_f, bij_g, bij_class2_pairs, bij_class2_pairs_inv,
+        bij_class3_structural, bij_class3_structural_inv,
+        bij_class3_colorswap, bij_class3_colorswap_inv])
+    @pytest.mark.parametrize("text", ["1^3", "1^32^1", "1^1/2^3"])
+    def test_color_above_two_rejected(self, fn, text):
+        with pytest.raises(DomainError):
+            fn(parse_blocks(text))
+
+    def test_tau_ignores_colors(self):
+        assert block_descent_tau(parse_blocks("1^3/2^1")).entries == (2, 1)
+
+
 class TestTau:
     def test_examples(self):
         # blocks listed by decreasing minima, min first then decreasing

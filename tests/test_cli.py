@@ -44,6 +44,12 @@ class TestCount:
         # EQ avoidance is weaker than pattern avoidance
         assert payload["count"] >= 14
 
+    def test_spaced_multidigit_color(self, capsys):
+        code, out, _ = run(capsys, "count", "-p", "1^1 2^12", "-k", "12",
+                           "-n", "2")
+        assert code == 0
+        assert out.strip().endswith("count=222")  # 2 * 12^2 - C(12, 2)
+
     def test_naive_flag_matches(self, capsys):
         fast = json.loads(run(capsys, "count", "-p", "1^11^1,1^21^1", "-n", "5",
                               "--format", "json")[1])
@@ -140,6 +146,19 @@ class TestBijectionCommand:
         code, out, _ = run(capsys, "bijection", "g", "1^2")
         assert code == 0
         assert out.strip() == "231"
+
+    @pytest.mark.parametrize("name, text", [
+        ("f", "1^3"), ("g", "1^3"), ("class2", "1^3"), ("class3b", "1^32^1")])
+    def test_colors_above_two_are_usage_errors(self, capsys, name, text):
+        code, out, err = run(capsys, "bijection", name, text)
+        assert code == 2
+        assert out == ""
+        assert "color above 2" in err
+
+    def test_tau_ignores_colors(self, capsys):
+        code, out, _ = run(capsys, "bijection", "tau", "1^3/2^1")
+        assert code == 0
+        assert out.strip() == "21"
 
     def test_domain_violation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bijection", "f", "1^12^1")

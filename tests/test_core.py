@@ -154,6 +154,19 @@ class TestPatternText:
         for text in ("1^11^2", "1^12^21^13^2", "1^22^1"):
             assert print_pattern(parse_pattern(text)) == text
 
+    def test_spaced_token_keeps_multidigit_color(self):
+        pi = parse_pattern("1^1 2^12")
+        assert pi.word == (1, 2) and pi.colors == (1, 12)
+
+    def test_color_twelve_round_trip(self):
+        pi = parse_pattern("1^12 2^1 1^3", 12)
+        assert pi.word_text() == "1^12 2^1 1^3"
+        assert parse_pattern(pi.word_text(), 12) == pi
+
+    def test_unspaced_colors_are_single_digits(self):
+        pi = parse_pattern("1^12^2")
+        assert pi.word == (1, 2) and pi.colors == (1, 2)
+
     def test_pattern_set_parse_sorted(self):
         pats = parse_pattern_set("1^21^1,1^12^1")
         assert [p.word_text() for p in pats] == ["1^21^1", "1^12^1"]

@@ -45,6 +45,20 @@ class TestGenerators:
             words = list(iter_rgs(n))
             assert words == sorted(set(words))
 
+    def test_rgs_prefix_filters_all_words(self):
+        for n in range(0, 8):
+            words = list(iter_rgs(n))
+            for length in range(0, min(n, 4) + 1):
+                for prefix in iter_rgs(length):
+                    assert list(iter_rgs(n, prefix)) == \
+                        [w for w in words if w[:length] == prefix]
+
+    def test_rgs_bad_prefix(self):
+        with pytest.raises(ValueError):
+            list(iter_rgs(2, (1, 2, 1)))
+        with pytest.raises(ValueError):
+            list(iter_rgs(3, (1, 3)))
+
     def test_colored_counts(self):
         assert sum(1 for _ in iter_colored(2, 2)) == 8
         assert [s.word_text() for s in iter_colored(1, 2)] == ["1^1", "1^2"]
@@ -222,6 +236,15 @@ class TestProfiles:
             for size in (1, 2, 3):
                 for S in itertools.combinations(canonical_pair_patterns(), size):
                     assert count_from_profiles(hist, S) == count_avoiders(n, 2, S)
+
+    def test_three_color_profiles_match_counts(self):
+        six = canonical_pair_patterns(3)
+        for n in range(1, 5):
+            hist = containment_profiles(n, 3)
+            assert sum(hist.values()) == bell(n) * 3 ** n
+            for smask in range(64):
+                S = [pi for i, pi in enumerate(six) if smask >> i & 1]
+                assert count_from_profiles(hist, S) == count_avoiders(n, 3, S)
 
 
 class TestVerificationReports:
