@@ -13,7 +13,7 @@ import itertools
 import json
 import sys
 
-from . import bijections, tables
+from . import bijections
 from .avoidance import Sense
 from .core import (
     PartitionError,
@@ -31,7 +31,7 @@ from .enumeration import (
     verify_color_symmetries,
     wilf_classify,
 )
-from .formulas import FormulaRangeError, closed_form, lookup_formula
+from .formulas import REGISTRY, closed_form, lookup_formula
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -147,22 +147,20 @@ def cmd_classify(args, out) -> int:
 
 def _verify_tables(n_max, jobs, out) -> bool:
     ok = True
-    for row in tables.ALL_TABLES:
-        upto = min(n_max, len(row.terms))
-        for text in row.pattern_sets:
-            patterns = parse_pattern_set(text)
+    for entry in REGISTRY:
+        if not entry.terms:
+            continue
+        upto = min(n_max, len(entry.terms))
+        for patterns in entry.pattern_sets:
             seq = avoidance_sequence(patterns, Sense.PATTERN, 2, upto, jobs=jobs)
-            good = seq.counts == row.terms[:upto]
+            good = seq.counts == entry.terms[:upto]
             ok &= good
-            out.write("%s %s %s {%s}: %s\n"
-                      % ("PASS" if good else "FAIL", row.table, row.label, text,
-                         list(seq.counts)))
+            out.write("%s %s {%s}: %s\n" % ("PASS" if good else "FAIL", entry.label,
+                                            seq.pattern_set, list(seq.counts)))
     return ok
 
 
 def _verify_formulas(n_max, jobs, out) -> bool:
-    from .formulas import REGISTRY
-
     ok = True
     for entry in REGISTRY:
         for patterns in entry.pattern_sets:
@@ -273,6 +271,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colorpart",
@@ -320,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--identities", action="store_true")
     p_ver.add_argument("--bijection",
                        choices=["f", "tau", "g", "class2", "class3a", "class3b"])
-    p_ver.add_argument("-n", "--n", type=int, default=None,
+    p_ver.add_argument("-n", "--n", type=nonnegative_int, default=None,
                        help="size for bijection verification")
-    p_ver.add_argument("--nmax", type=int, default=6)
+    p_ver.add_argument("--nmax", type=positive_int, default=6)
     p_ver.add_argument("--jobs", type=positive_int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -126,17 +126,21 @@ class ColoredPartition:
     def color_of(self, element: int) -> int:
         return self.colors[element - 1]
 
+    def _element_sep(self) -> str:
+        # a color of 10 or more only parses back from a spaced element
+        return " " if self.colors and max(self.colors) > 9 else ""
+
     def word_text(self) -> str:
         """Colored-canonical-word notation, e.g. 1^12^21^13^2."""
-        sep = " " if self.colors and max(self.colors) > 9 else ""
-        return sep.join("%d^%d" % (b, c) for b, c in zip(self.word, self.colors))
+        return self._element_sep().join(
+            "%d^%d" % (b, c) for b, c in zip(self.word, self.colors))
 
     def block_text(self) -> str:
         """Slash-separated block notation, e.g. 1^13^1/2^2/4^2."""
         if self.n == 0:
             return "()"
         return "/".join(
-            "".join("%d^%d" % (e, self.colors[e - 1]) for e in blk)
+            self._element_sep().join("%d^%d" % (e, self.colors[e - 1]) for e in blk)
             for blk in self.blocks()
         )
 

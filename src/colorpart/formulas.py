@@ -1,4 +1,7 @@
-"""Exact combinatorial number engines and the closed-form registry.
+"""Exact combinatorial number engines and the Wilf-class registry.
+
+`REGISTRY` is the one record of each class: its pattern sets, closed
+form, published terms and OEIS id.
 
 Everything is integer arithmetic; Python's arbitrary-precision ints make
 overflow a non-issue, so "overflow is a hard error" holds vacuously.
@@ -8,7 +11,7 @@ Infinite sums over j truncate where the binomial factors vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
@@ -63,12 +66,17 @@ def kcolor_count(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class FormulaEntry:
-    """One enumerated class: its pattern sets and closed form."""
+    """One Wilf class: its pattern sets, closed form and published terms.
+
+    `terms` are the published values for n = 1, 2, ...; empty where the
+    source gives no table row.
+    """
 
     label: str
     pattern_sets: tuple[tuple[ColoredPattern, ...], ...]
     evaluator: Callable[[int], int]
     min_n: int = 1
+    terms: tuple[int, ...] = ()
     oeis: str = ""
     note: str = ""
 
@@ -172,10 +180,6 @@ def _triple6(n):
     return 2 * bell(n) + n - 1
 
 
-def _triple7(n):
-    return sum(bell(i) * bell(n - i) for i in range(n + 1))
-
-
 def _quad1(n):
     return 2 if n <= 2 else 0
 
@@ -217,89 +221,95 @@ REGISTRY: tuple[FormulaEntry, ...] = (
         note="2^(n+1) - 2; non-empty proper subsets of an (n+1)-set"),
     FormulaEntry(
         "pair class 1", _sets("1^11^1,1^12^1"), _pair1,
+        terms=(2, 4, 0, 0, 0, 0),
         note="every element needs its own color; empty for n >= 3"),
     FormulaEntry(
         "pair class 2",
         _sets("1^11^2,1^12^1", "1^21^1,1^12^1", "1^12^1,1^12^2", "1^12^1,1^22^1"),
-        _pair2, oeis="A052944", note="2^n + n - 1"),
+        _pair2, terms=(2, 5, 10, 19, 36, 69), oeis="A052944", note="2^n + n - 1"),
     FormulaEntry(
         "pair class 3", _sets("1^11^1,1^12^2", "1^11^1,1^22^1"), _pair3,
-        oeis="A208275", note="triple binomial sum plus 1"),
+        terms=(2, 5, 10, 21, 46, 107), oeis="A208275",
+        note="triple binomial sum plus 1"),
     FormulaEntry(
         "pair class 4", _sets("1^11^1,1^11^2", "1^11^1,1^21^1"), _pair4,
-        oeis="A005425", note="a_n = 2 a_(n-1) + (n-1) a_(n-2), a_1 = 2, a_2 = 5"),
+        terms=(2, 5, 14, 43, 142, 499), oeis="A005425",
+        note="a_n = 2 a_(n-1) + (n-1) a_(n-2), a_1 = 2, a_2 = 5"),
     FormulaEntry(
         "pair class 5", _sets("1^12^2,1^22^1"), _pair5,
-        oeis="A209629", note="2^n + 2(B(n) - 1)"),
+        terms=(2, 6, 16, 44, 134, 468), oeis="A209629", note="2^n + 2(B(n) - 1)"),
     FormulaEntry(
         "pair class 6", _sets("1^11^2,1^22^1", "1^21^1,1^12^2"), _pair6, min_n=2,
-        oeis="A209797",
+        terms=(2, 6, 18, 56, 188, 695), oeis="A209797",
         note="double Bell sum; stated for n >= 2, brute force gives 2 at n = 1"),
     FormulaEntry(
         "pair class 7", _sets("1^11^2,1^12^2", "1^21^1,1^22^1"), _pair7,
-        oeis="A052889", note="(n+1) B(n)"),
+        terms=(2, 6, 20, 75, 312, 1421), oeis="A052889", note="(n+1) B(n)"),
     FormulaEntry(
         "pair class 8", _sets("1^11^2,1^21^1"), _pair8,
-        oeis="A001861", note="sum 2^j S(n, j)"),
+        terms=(2, 6, 22, 94, 454, 2430), oeis="A001861", note="sum 2^j S(n, j)"),
     FormulaEntry(
         "triple class 1",
         _sets("1^11^1,1^11^2,1^12^1", "1^11^1,1^21^1,1^12^1",
               "1^11^1,1^12^1,1^12^2", "1^11^1,1^12^1,1^22^1"),
-        _triple1, note="empty for n >= 3"),
+        _triple1, terms=(2, 3, 0, 0, 0, 0), note="empty for n >= 3"),
     FormulaEntry(
         "triple class 2", _sets("1^11^1,1^12^2,1^22^1"), _triple2,
-        note="4 at n = 2, else 2"),
+        terms=(2, 4, 2, 2, 2, 2), note="4 at n = 2, else 2"),
     FormulaEntry(
         "triple class 3",
         _sets("1^11^1,1^11^2,1^22^1", "1^11^1,1^21^1,1^12^2",
               "1^11^2,1^12^1,1^12^2", "1^21^1,1^12^1,1^22^1",
               "1^11^2,1^12^1,1^22^1", "1^21^1,1^12^1,1^12^2"),
-        _triple3, oeis="A005843", note="2n"),
+        _triple3, terms=(2, 4, 6, 8, 10, 12), oeis="A005843", note="2n"),
     FormulaEntry(
         "triple class 4",
         _sets("1^11^1,1^11^2,1^21^1", "1^11^2,1^21^1,1^12^1",
               "1^12^1,1^12^2,1^22^1"),
-        _triple4, oeis="A000079", note="2^n"),
+        _triple4, terms=(2, 4, 8, 16, 32, 64), oeis="A000079", note="2^n"),
     FormulaEntry(
         "triple class 5", _sets("1^11^1,1^11^2,1^12^2", "1^11^1,1^21^1,1^22^1"),
-        _triple5, oeis="A081124", note="sum C(n, j) floor(j/2)!"),
+        _triple5, terms=(2, 4, 8, 17, 38, 90), oeis="A081124",
+        note="sum C(n, j) floor(j/2)!"),
     FormulaEntry(
         "triple class 6", _sets("1^11^2,1^12^2,1^22^1", "1^21^1,1^12^2,1^22^1"),
-        _triple6, oeis="A209798", note="2 B(n) + n - 1"),
+        _triple6, terms=(2, 5, 12, 33, 108), oeis="A209798", note="2 B(n) + n - 1"),
     FormulaEntry(
         "triple class 7", _sets("1^11^2,1^21^1,1^12^2", "1^11^2,1^21^1,1^22^1"),
-        _triple7, oeis="A014322", note="sum B(i) B(n-i)"),
+        partial(kcolor_count, k=2), terms=(2, 5, 14, 44, 154), oeis="A014322",
+        note="sum B(i) B(n-i)"),
     FormulaEntry(
         "quad class 1",
         _sets("1^11^1,1^11^2,1^21^1,1^12^1",
               "1^11^1,1^11^2,1^12^1,1^12^2", "1^11^1,1^21^1,1^12^1,1^22^1",
               "1^11^1,1^11^2,1^12^1,1^22^1", "1^11^1,1^21^1,1^12^1,1^12^2",
               "1^11^1,1^12^1,1^12^2,1^22^1"),
-        _quad1, note="empty for n >= 3"),
+        _quad1, terms=(2, 2, 0, 0, 0), note="empty for n >= 3"),
     FormulaEntry(
         "quad class 2", _sets("1^11^2,1^21^1,1^12^2,1^22^1"), _quad2,
-        oeis="A000110",
+        terms=(2, 4, 10, 30, 104), oeis="A000110",
         note="2 B(n); the published table row reads 2,2,4,10,30 and is "
              "offset by one relative to the theorem"),
     FormulaEntry(
         "quad class 3",
         _sets("1^11^1,1^11^2,1^12^2,1^22^1", "1^11^1,1^21^1,1^12^2,1^22^1"),
-        _quad3, note="3 at n = 2, else 2"),
+        _quad3, terms=(2, 3, 2, 2, 2), note="3 at n = 2, else 2"),
     FormulaEntry(
         "quad class 4",
         _sets("1^11^1,1^11^2,1^21^1,1^12^2", "1^11^1,1^11^2,1^21^1,1^22^1",
               "1^11^2,1^12^1,1^12^2,1^22^1", "1^21^1,1^12^1,1^12^2,1^22^1",
               "1^11^2,1^21^1,1^12^1,1^12^2", "1^11^2,1^21^1,1^12^1,1^22^1"),
-        _quad4, oeis="A000027", note="n + 1"),
+        _quad4, terms=(2, 3, 4, 5, 6), oeis="A000027", note="n + 1"),
     FormulaEntry(
         "five-pattern classes",
         _sets("1^11^1,1^11^2,1^21^1,1^12^2,1^22^1",
               "1^11^2,1^21^1,1^12^1,1^12^2,1^22^1"),
-        _five, note="constant 2; the remaining 5-sets contain pair class 1"),
+        _five, terms=(2, 2, 2, 2, 2, 2),
+        note="constant 2; the remaining 5-sets contain pair class 1"),
     FormulaEntry(
         "six-pattern class",
         _sets("1^11^1,1^11^2,1^21^1,1^12^1,1^12^2,1^22^1"),
-        _six, note="2, 0, 0, ..."),
+        _six, terms=(2, 0, 0, 0, 0, 0), note="2, 0, 0, ..."),
 )
 
 

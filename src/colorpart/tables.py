@@ -1,106 +1,28 @@
-"""Golden enumeration data for the pair/triple/quad Wilf classes.
+"""The published terms of `formulas.REGISTRY` as text rows.
 
-Each row carries every pattern set in the class, the published leading
-terms, and the OEIS identifier as a metadata string.  The quad class 2
-row is stored with the theorem values 2, 4, 10, 30, ... ; the published
-row reads 2, 2, 4, 10, 30 and is offset by one (an n = 0 start) relative
-to the other rows.
+One row per registry entry that has published terms: its label, its
+pattern sets printed as text, and the terms.  The registry is the only
+record of the class data; this view exists because the golden-pool
+generator `bench/make_golden.py` reads `ALL_TABLES` (`row.pattern_sets`
+as text and `row.terms`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import print_pattern_set
+from .formulas import REGISTRY
+
 
 @dataclass(frozen=True)
 class TableRow:
-    table: str
     label: str
     pattern_sets: tuple[str, ...]
     terms: tuple[int, ...]
-    oeis: str = ""
-    note: str = ""
 
 
-PAIR_TABLE: tuple[TableRow, ...] = (
-    TableRow("pairs", "class 1", ("1^11^1,1^12^1",), (2, 4, 0, 0, 0, 0)),
-    TableRow("pairs", "class 2",
-             ("1^11^2,1^12^1", "1^21^1,1^12^1", "1^12^1,1^12^2", "1^12^1,1^22^1"),
-             (2, 5, 10, 19, 36, 69), "A052944"),
-    TableRow("pairs", "class 3", ("1^11^1,1^12^2", "1^11^1,1^22^1"),
-             (2, 5, 10, 21, 46, 107), "A208275"),
-    TableRow("pairs", "class 4", ("1^11^1,1^11^2", "1^11^1,1^21^1"),
-             (2, 5, 14, 43, 142, 499), "A005425"),
-    TableRow("pairs", "class 5", ("1^12^2,1^22^1",),
-             (2, 6, 16, 44, 134, 468), "A209629"),
-    TableRow("pairs", "class 6", ("1^11^2,1^22^1", "1^21^1,1^12^2"),
-             (2, 6, 18, 56, 188, 695), "A209797"),
-    TableRow("pairs", "class 7", ("1^11^2,1^12^2", "1^21^1,1^22^1"),
-             (2, 6, 20, 75, 312, 1421), "A052889"),
-    TableRow("pairs", "class 8", ("1^11^2,1^21^1",),
-             (2, 6, 22, 94, 454, 2430), "A001861"),
-)
-
-TRIPLE_TABLE: tuple[TableRow, ...] = (
-    TableRow("triples", "class 1",
-             ("1^11^1,1^11^2,1^12^1", "1^11^1,1^21^1,1^12^1",
-              "1^11^1,1^12^1,1^12^2", "1^11^1,1^12^1,1^22^1"),
-             (2, 3, 0, 0, 0, 0)),
-    TableRow("triples", "class 2", ("1^11^1,1^12^2,1^22^1",),
-             (2, 4, 2, 2, 2, 2)),
-    TableRow("triples", "class 3",
-             ("1^11^1,1^11^2,1^22^1", "1^11^1,1^21^1,1^12^2",
-              "1^11^2,1^12^1,1^12^2", "1^21^1,1^12^1,1^22^1",
-              "1^11^2,1^12^1,1^22^1", "1^21^1,1^12^1,1^12^2"),
-             (2, 4, 6, 8, 10, 12), "A005843"),
-    TableRow("triples", "class 4",
-             ("1^11^1,1^11^2,1^21^1", "1^11^2,1^21^1,1^12^1",
-              "1^12^1,1^12^2,1^22^1"),
-             (2, 4, 8, 16, 32, 64), "A000079"),
-    TableRow("triples", "class 5",
-             ("1^11^1,1^11^2,1^12^2", "1^11^1,1^21^1,1^22^1"),
-             (2, 4, 8, 17, 38, 90), "A081124"),
-    TableRow("triples", "class 6",
-             ("1^11^2,1^12^2,1^22^1", "1^21^1,1^12^2,1^22^1"),
-             (2, 5, 12, 33, 108), "A209798"),
-    TableRow("triples", "class 7",
-             ("1^11^2,1^21^1,1^12^2", "1^11^2,1^21^1,1^22^1"),
-             (2, 5, 14, 44, 154), "A014322"),
-)
-
-QUAD_TABLE: tuple[TableRow, ...] = (
-    TableRow("quads", "class 1",
-             ("1^11^1,1^11^2,1^21^1,1^12^1",
-              "1^11^1,1^11^2,1^12^1,1^12^2", "1^11^1,1^21^1,1^12^1,1^22^1",
-              "1^11^1,1^11^2,1^12^1,1^22^1", "1^11^1,1^21^1,1^12^1,1^12^2",
-              "1^11^1,1^12^1,1^12^2,1^22^1"),
-             (2, 2, 0, 0, 0)),
-    TableRow("quads", "class 2", ("1^11^2,1^21^1,1^12^2,1^22^1",),
-             (2, 4, 10, 30, 104), "A000110",
-             "theorem value 2 B(n); the published row 2,2,4,10,30 is "
-             "shifted one position"),
-    TableRow("quads", "class 3",
-             ("1^11^1,1^11^2,1^12^2,1^22^1", "1^11^1,1^21^1,1^12^2,1^22^1"),
-             (2, 3, 2, 2, 2)),
-    TableRow("quads", "class 4",
-             ("1^11^1,1^11^2,1^21^1,1^12^2", "1^11^1,1^11^2,1^21^1,1^22^1",
-              "1^11^2,1^12^1,1^12^2,1^22^1", "1^21^1,1^12^1,1^12^2,1^22^1",
-              "1^11^2,1^21^1,1^12^1,1^12^2", "1^11^2,1^21^1,1^12^1,1^22^1"),
-             (2, 3, 4, 5, 6), "A000027"),
-)
-
-DEGENERATE_TABLE: tuple[TableRow, ...] = (
-    TableRow("degenerate", "five patterns, without 1^12^1",
-             ("1^11^1,1^11^2,1^21^1,1^12^2,1^22^1",),
-             (2, 2, 2, 2, 2, 2)),
-    TableRow("degenerate", "five patterns, without 1^11^1",
-             ("1^11^2,1^21^1,1^12^1,1^12^2,1^22^1",),
-             (2, 2, 2, 2, 2, 2)),
-    TableRow("degenerate", "all six patterns",
-             ("1^11^1,1^11^2,1^21^1,1^12^1,1^12^2,1^22^1",),
-             (2, 0, 0, 0, 0, 0)),
-)
-
-ALL_TABLES: tuple[TableRow, ...] = (
-    PAIR_TABLE + TRIPLE_TABLE + QUAD_TABLE + DEGENERATE_TABLE
-)
+ALL_TABLES: tuple[TableRow, ...] = tuple(
+    TableRow(entry.label, tuple(map(print_pattern_set, entry.pattern_sets)),
+             entry.terms)
+    for entry in REGISTRY if entry.terms)

@@ -35,7 +35,12 @@ from colorpart.bijections import (
     bij_g,
     block_descent_tau,
 )
-from colorpart.core import Permutation, parse_blocks, parse_pattern_set
+from colorpart.core import (
+    Permutation,
+    parse_blocks,
+    parse_pattern_set,
+    print_pattern_set,
+)
 from colorpart.enumeration import (
     avoider_set,
     containment_profiles,
@@ -52,7 +57,6 @@ from colorpart.formulas import (
     kcolor_count,
     pair4_sequence,
 )
-from colorpart.tables import ALL_TABLES, DEGENERATE_TABLE
 
 EQ_IDENTITIES = (
     ("1^11^1", "1^11^1,1^21^2"),
@@ -81,15 +85,17 @@ def _perms(m):
 
 def test_criterion_01_table_reproduction():
     failures = []
-    for row in ALL_TABLES:
-        if row.table == "degenerate":
-            continue
-        for text in row.pattern_sets:
-            patterns = parse_pattern_set(text)
-            for n in range(1, min(6, len(row.terms)) + 1):
-                got = count_from_profiles(_profiles(n), patterns)
-                if got != row.terms[n - 1]:
-                    failures.append((row.label, text, n, got, row.terms[n - 1]))
+    # the published pair, triple and quad rows: 15 + 20 + 15 pattern sets
+    sets = [(entry, patterns) for entry in REGISTRY if entry.terms
+            for patterns in entry.pattern_sets if len(patterns) <= 4]
+    if len(sets) != 50:
+        failures.append(("published pair/triple/quad sets", len(sets)))
+    for entry, patterns in sets:
+        for n in range(1, min(6, len(entry.terms)) + 1):
+            got = count_from_profiles(_profiles(n), patterns)
+            if got != entry.terms[n - 1]:
+                failures.append((entry.label, print_pattern_set(patterns), n, got,
+                                 entry.terms[n - 1]))
     _report(1, "tables reproduced row-for-row at n <= 6 "
                "(quad class 2 checked against 2 B(n))", failures)
 
@@ -270,15 +276,18 @@ def test_criterion_10_kcolor_theorem():
 
 def test_criterion_11_degenerate_classes():
     failures = []
-    for row in DEGENERATE_TABLE:
-        patterns = parse_pattern_set(row.pattern_sets[0])
+    sets = [(entry, patterns) for entry in REGISTRY
+            for patterns in entry.pattern_sets if len(patterns) >= 5]
+    if len(sets) != 3:
+        failures.append(("five- and six-pattern sets", len(sets)))
+    for entry, patterns in sets:
         n_top = 8 if len(patterns) == 5 else 6
         expected = {5: lambda n: 2, 6: lambda n: 2 if n == 1 else 0}[
             len(patterns)]
         for n in range(1, n_top + 1):
             got = count_avoiders(n, 2, patterns)
             if got != expected(n):
-                failures.append((row.label, n, got))
+                failures.append((entry.label, print_pattern_set(patterns), n, got))
     _report(11, "five-pattern sets count exactly 2 for n <= 8; "
                 "the six-pattern set counts 2, 0, 0, ...", failures)
 

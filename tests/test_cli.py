@@ -129,6 +129,36 @@ class TestVerify:
         assert code == 2
         assert "nothing to verify" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["--formulas", "--nmax", "0"],
+        ["--identities", "--nmax", "0"],
+        ["--bijection", "f", "-n", "-1"],
+        ["--bijection", "g", "-n", "-2"],
+    ])
+    def test_sizes_out_of_range_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be at least" in err and "Traceback" not in err
+
+    def test_size_zero_bijection(self, capsys):
+        code, out, _ = run(capsys, "verify", "--bijection", "f", "-n", "0")
+        assert code == 0
+        assert out == "PASS bijection f at n=0 (domain 1)\n"
+
+    @pytest.mark.parametrize("check, count", [("--tables", 53), ("--formulas", 54)])
+    def test_one_pass_line_per_registered_set(self, capsys, check, count):
+        code, out, _ = run(capsys, "verify", check, "--nmax", "6")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == count
+        assert all(line.startswith("PASS ") for line in lines)
+
+    def test_table_lines_carry_registry_labels(self, capsys):
+        _, out, _ = run(capsys, "verify", "--tables", "--nmax", "6")
+        assert out.splitlines()[0] == \
+            "PASS pair class 1 {1^11^1,1^12^1}: [2, 4, 0, 0, 0, 0]"
+
 
 class TestBijectionCommand:
     def test_f_round_trip(self, capsys):

@@ -180,6 +180,18 @@ class TestPatternText:
         text = "1^24^1/2^1/3^26^1/5^1/7^2"
         assert parse_blocks(text).block_text() == text
 
+    def test_block_text_round_trip_two_digit_colors(self):
+        from itertools import product
+        from colorpart.enumeration import iter_rgs
+
+        sigma = ColoredPartition((1, 1), (12, 1), 12)
+        assert sigma.block_text() == "1^12 2^1"
+        for n in range(1, 5):
+            for word in iter_rgs(n):
+                for colors in product((1, 9, 10, 12), repeat=n):
+                    sigma = ColoredPartition(word, colors, 12)
+                    assert parse_blocks(sigma.block_text(), 12) == sigma
+
 
 class TestPermutationAndVincular:
     def test_parse_permutation(self):

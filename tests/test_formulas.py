@@ -95,6 +95,11 @@ class TestClosedForms:
             closed_form(entry, 1)
         assert closed_form(entry, 2) == 6
 
+    def test_published_terms_match_closed_forms(self):
+        for entry in REGISTRY:
+            for n in range(entry.min_n, len(entry.terms) + 1):
+                assert entry.terms[n - 1] == closed_form(entry, n), (entry.label, n)
+
     def test_all_entries_match_brute_force(self):
         for entry in REGISTRY:
             for patterns in entry.pattern_sets:
