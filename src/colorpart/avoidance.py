@@ -8,10 +8,13 @@ Colored partition patterns can be matched in three senses:
 * lt -- the colors on the copy are elementwise at most the pattern's
   colors.
 
-What a set of length-2 patterns forbids is compiled once, by
-`pair_tables`, into two bitmask tables over colors; the length-2
-containment scan and the counting engines all read them.  Longer
-patterns are matched by subset enumeration.
+Containment is monotone: a partition contains a pattern when a copy
+ends at one of its elements.  What the length-2 members of a pattern
+set forbid is compiled once, by `pair_tables`, into two bitmask tables
+over colors; the length-2 containment scan and the counting engines all
+read them.  A copy of any other pattern is found by `copy_ends_at`,
+which pins the copy's last element and reads nothing after it, so one
+left-to-right walk can reject an element as soon as a copy ends there.
 
 Vincular (dashed) permutation patterns are matched with adjacency
 constraints on bonded positions.
@@ -41,74 +44,78 @@ class Sense(enum.Enum):
         return self.value
 
 
-def _color_match(copy_colors, pi: ColoredPattern, sense: Sense) -> bool:
-    if sense is Sense.PATTERN:
-        return reduce_word(copy_colors) == pi.reduced_colors
-    if sense is Sense.EQ:
-        return tuple(copy_colors) == pi.colors
-    return all(c <= p for c, p in zip(copy_colors, pi.colors))
+def copy_ends_at(word: Sequence[int], colors: Sequence[int], t: int,
+                 pi: ColoredPattern, sense: Sense = Sense.PATTERN) -> bool:
+    """True iff a copy of `pi` in entries 0..t of (word, colors) ends at t.
+
+    Reads only entries 0..t.  A copy's elements share a block exactly
+    when the pattern's do; in the pattern sense their colors are ordered
+    as the pattern's, in the eq (lt) sense each color equals (is at
+    most) the pattern's.  Entry t is the copy's last element; the others
+    are chosen left to right, each checked against those already chosen.
+    The empty pattern has no last element, so no copy of it ends anywhere.
+    """
+    pword, pcolors = pi.word, pi.colors
+    last = len(pword) - 1
+    if not 0 <= last <= t:
+        return False
+    ordered, eq, lt = sense is Sense.PATTERN, sense is Sense.EQ, sense is Sense.LT
+    c, p = colors[t], pcolors[last]
+    if eq and c != p or lt and c > p:
+        return False
+    chosen = [(last, t)]  # (position in pi, index into word) of the copy so far
+    s, i = 0, 0           # place the copy's element s at index i or later
+    while s < last:
+        if i > t - last + s:  # no room left before t: move element s-1 on
+            if s == 0:
+                return False
+            s, i = chosen.pop()
+        else:
+            b, c, pb, p = word[i], colors[i], pword[s], pcolors[s]
+            if not (eq and c != p or lt and c > p):
+                for a, j in chosen:
+                    d, q = colors[j], pcolors[a]
+                    if ((b == word[j]) != (pb == pword[a])
+                            or ordered and (c > d) - (c < d) != (p > q) - (p < q)):
+                        break
+                else:
+                    chosen.append((s, i))
+                    s += 1
+        i += 1
+    return True
 
 
 def contains_colored_generic(sigma: ColoredPartition, pi: ColoredPattern,
                              sense: Sense = Sense.PATTERN) -> bool:
-    """Subset-enumeration containment check for patterns of any length.
+    """Containment for patterns of any length: a copy ends at some element.
 
-    Walks increasing index sets, abandoning a partial embedding as soon
-    as its partial canonical word can no longer extend to the pattern's.
+    The empty pattern is contained in every partition, the empty one too.
     """
-    m, n = pi.n, sigma.n
-    if m == 0:
+    if pi.n == 0:
         return True
-    if m > n:
-        return False
-    word, pword = sigma.word, pi.word
-
-    def extend(idx: list[int], labels: dict[int, int]) -> bool:
-        t = len(idx)
-        if t == m:
-            return _color_match([sigma.colors[i - 1] for i in idx], pi, sense)
-        start = idx[-1] + 1 if idx else 1
-        for i in range(start, n - (m - t) + 2):
-            b = word[i - 1]
-            if b in labels:
-                if labels[b] != pword[t]:
-                    continue
-                new = None
-            else:
-                if pword[t] != len(labels) + 1:
-                    continue
-                new = b
-                labels[b] = len(labels) + 1
-            idx.append(i)
-            if extend(idx, labels):
-                return True
-            idx.pop()
-            if new is not None:
-                del labels[new]
-        return False
-
-    return extend([], {})
+    return any(copy_ends_at(sigma.word, sigma.colors, t, pi, sense)
+               for t in range(pi.n - 1, sigma.n))
 
 
 @functools.lru_cache(maxsize=1024)
 def pair_tables(patterns: tuple[ColoredPattern, ...], sense: Sense, k: int):
-    """What a length-2 pattern set forbids, as (same_bad, diff_bad), or None.
+    """What the length-2 members of a pattern set forbid, as (same_bad, diff_bad).
 
     Bit c' of same_bad[c] is set when an earlier element of color c' in
     the same block as a new element of color c completes a copy in the
     given sense; diff_bad[c] does the same for an earlier element in
-    another block.  None when some pattern is not of length 2.  The
-    tables are memoized, so `patterns` must be a tuple.
+    another block.  Patterns of other lengths are left out.  The tables
+    are memoized, so `patterns` must be a tuple.
     """
     same_bad = [0] * (k + 1)
     diff_bad = [0] * (k + 1)
     for pi in patterns:
         if pi.n != 2:
-            return None
+            continue
         table = same_bad if pi.word == (1, 1) else diff_bad
         for c in range(1, k + 1):
             for cp in range(1, k + 1):
-                if _color_match((cp, c), pi, sense):
+                if copy_ends_at(pi.word, (cp, c), 1, pi, sense):
                     table[c] |= 1 << cp
     return tuple(same_bad), tuple(diff_bad)
 

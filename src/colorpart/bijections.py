@@ -100,6 +100,9 @@ def _f(sigma: ColoredPartition) -> tuple[int, ...]:
 
 def bij_f_inv(q: Permutation) -> ColoredPartition:
     """Inverse of `bij_f` on permutations avoiding 12-3 and 214-3."""
+    if not q.n:
+        raise DomainError("the empty permutation is outside the f codomain "
+                          "S_{n+1}, n >= 0")
     _require_perm_avoids(q, (PAT_12_3, PAT_214_3), "f inverse")
     blocks, colors = _f_inv(q.entries)
     if not blocks:

@@ -40,6 +40,9 @@ EXIT_RESOURCE = 3
 
 CSV_COLUMNS = ["pattern_set", "sense", "k", "n", "count", "formula_value", "agrees"]
 
+# the maps `verify --bijection` checks, in `verify --all` order
+VERIFIED_BIJECTIONS = ("f", "tau", "g", "class2", "class3a", "class3b")
+
 
 class ResourceCapError(RuntimeError):
     pass
@@ -125,7 +128,7 @@ def cmd_classify(args, out) -> int:
     patterns = canonical_pair_patterns(args.colors)
     family = [tuple(sub) for sub in itertools.combinations(patterns, args.size)]
     classification = wilf_classify(family, args.sense, args.colors, args.nmax,
-                                   jobs=args.jobs)
+                                   naive=args.naive, jobs=args.jobs)
     payload = {"command": "classify", "size": args.size, "sense": str(args.sense),
                "k": args.colors, "n_max": args.nmax,
                "classes": [
@@ -176,7 +179,15 @@ def _verify_formulas(n_max, jobs, out) -> bool:
 
 
 def cmd_verify(args, out) -> int:
-    _check_cap(args.nmax)
+    small = min(args.nmax, 6)  # the identities' size, and the bijections' default
+    sizes = []  # the largest n each selected check runs at
+    if args.all or args.tables or args.formulas or args.symmetries:
+        sizes.append(args.nmax)
+    if args.all or args.identities:
+        sizes.append(small)
+    if args.all or args.bijection:
+        sizes.append(small if args.n is None else args.n)
+    _check_cap(max(sizes, default=0))
     ok = True
     ran = False
     if args.all or args.tables:
@@ -195,7 +206,7 @@ def cmd_verify(args, out) -> int:
         ok &= report.ok
     if args.all or args.identities:
         ran = True
-        report = verify_eq_pattern_identities(min(args.nmax, 6))
+        report = verify_eq_pattern_identities(small)
         out.write("%s pattern/EQ set identities (%d checks)\n"
                   % ("PASS" if report.ok else "FAIL", len(report.checks)))
         for failure in report.failures:
@@ -203,9 +214,8 @@ def cmd_verify(args, out) -> int:
         ok &= report.ok
     if args.bijection or args.all:
         ran = True
-        names = [args.bijection] if args.bijection else \
-            ["f", "tau", "g", "class2", "class3a", "class3b"]
-        n = args.n if args.n is not None else min(args.nmax, 6)
+        names = [args.bijection] if args.bijection else VERIFIED_BIJECTIONS
+        n = small if args.n is None else args.n
         for name in names:
             report = bijections.verify_bijection(name, n)
             status, skipped = ("PASS" if report.ok else "FAIL"), ""
@@ -224,29 +234,29 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+def _bijection_maps() -> dict:
+    """Each `bijection` name with the parser of its input and the map.
+
+    Built per call, so that a rebound `bijections` attribute is the one run.
+    """
+    return {
+        "f": (parse_blocks, bijections.bij_f),
+        "f-inv": (parse_permutation, bijections.bij_f_inv),
+        "tau": (parse_blocks, bijections.block_descent_tau),
+        "g": (parse_blocks, bijections.bij_g),
+        "class2": (parse_blocks, bijections.bij_class2_pairs),
+        "class2-inv": (parse_blocks, bijections.bij_class2_pairs_inv),
+        "class3a": (parse_blocks, bijections.bij_class3_structural),
+        "class3a-inv": (parse_blocks, bijections.bij_class3_structural_inv),
+        "class3b": (parse_blocks, bijections.bij_class3_colorswap),
+        "class3b-inv": (parse_blocks, bijections.bij_class3_colorswap_inv),
+    }
+
+
 def cmd_bijection(args, out) -> int:
     name = args.name
-    if name in ("f", "class2", "class2-inv", "class3a", "class3a-inv",
-                "class3b", "class3b-inv", "g"):
-        sigma = parse_blocks(args.input)
-        func = {
-            "f": bijections.bij_f,
-            "g": bijections.bij_g,
-            "class2": bijections.bij_class2_pairs,
-            "class2-inv": bijections.bij_class2_pairs_inv,
-            "class3a": bijections.bij_class3_structural,
-            "class3a-inv": bijections.bij_class3_structural_inv,
-            "class3b": bijections.bij_class3_colorswap,
-            "class3b-inv": bijections.bij_class3_colorswap_inv,
-        }[name]
-        image = func(sigma)
-    elif name == "f-inv":
-        image = bijections.bij_f_inv(parse_permutation(args.input))
-    elif name == "tau":
-        sigma = parse_blocks(args.input)
-        image = bijections.block_descent_tau(sigma)
-    else:
-        raise PartitionError("unknown bijection %r" % name)
+    parse, func = _bijection_maps()[name]
+    image = func(parse(args.input))
 
     if hasattr(image, "block_text"):
         result = {"blocks": image.block_text(), "word": image.word_text()}
@@ -323,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--formulas", action="store_true")
     p_ver.add_argument("--symmetries", action="store_true")
     p_ver.add_argument("--identities", action="store_true")
-    p_ver.add_argument("--bijection",
-                       choices=["f", "tau", "g", "class2", "class3a", "class3b"])
+    p_ver.add_argument("--bijection", choices=VERIFIED_BIJECTIONS)
     p_ver.add_argument("-n", "--n", type=nonnegative_int, default=None,
                        help="size for bijection verification")
     p_ver.add_argument("--nmax", type=positive_int, default=6)
@@ -332,10 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_bij = sub.add_parser("bijection", help="apply a bijection to one object")
-    p_bij.add_argument("name",
-                       choices=["f", "f-inv", "tau", "g", "class2",
-                                "class2-inv", "class3a", "class3a-inv",
-                                "class3b", "class3b-inv"])
+    p_bij.add_argument("name", choices=list(_bijection_maps()))
     p_bij.add_argument("input",
                        help="block notation (1^24^1/2^1/...) or a permutation "
                             "for inverse maps")

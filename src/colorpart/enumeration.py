@@ -1,11 +1,13 @@
 """Exhaustive generation and avoidance counting.
 
 When every forbidden pattern has length 2, counting runs a transfer DP
-over the multiset of block color masks, and `iter_avoiders` walks the
-colored words by a DFS; both prune with the `avoidance.pair_tables` of
-the set.  Any longer pattern, or `naive=True` (oracle duty), falls back
-to full enumeration over `iter_colored`; only that path splits the
-search by word prefix across `jobs` processes.
+over the multiset of block color masks.  Every other set is counted,
+and every set's avoiders are generated, by one left-to-right walk over
+the colored words that rejects an element as soon as a copy ends at it:
+a length-2 copy by the `avoidance.pair_tables` of the set, a copy of
+any other length by `avoidance.copy_ends_at`.  Full enumeration over
+`iter_colored` serves only as the oracle (`naive=True`).  The walk and
+the oracle split their search by word prefix across `jobs` processes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .avoidance import Sense, avoids_all, others_mask, pair_tables
+from .avoidance import Sense, avoids_all, copy_ends_at, others_mask, pair_tables
 from .core import ColoredPartition, ColoredPattern, is_rgs, print_pattern_set
 
 PREFIX_SPLIT_LENGTH = 4
@@ -93,6 +95,52 @@ def _count_dp(n, k, tables):
     return sum(states.values())
 
 
+def _walk(n, k, patterns, sense, prefix=()):
+    """Left-to-right walk over the colored words of size n that avoid `patterns`.
+
+    Yields (word, colors) for every avoider whose word starts with the
+    restricted growth string `prefix`, as lists the walk goes on to
+    overwrite.  Containment is monotone, so an element is rejected as
+    soon as a copy ends at it.
+    """
+    if any(pi.n == 0 for pi in patterns):
+        return  # every partition contains the empty pattern
+    same_bad, diff_bad = pair_tables(patterns, sense, k)
+    other_lengths = [pi for pi in patterns if pi.n != 2]
+    word = [0] * n
+    colors = [0] * n
+    masks = [0] * (n + 2)     # masks[b]: colors in block b
+    holders = [0] * (k + 1)   # holders[c]: blocks holding color c
+
+    def walk(t, top):
+        if t == n:
+            yield word, colors
+            return
+        for b in (prefix[t],) if t < len(prefix) else range(1, top + 2):
+            own = masks[b]
+            others = others_mask(own, holders)
+            word[t] = b
+            for c in range(1, k + 1):
+                if own & same_bad[c] or others & diff_bad[c]:
+                    continue
+                colors[t] = c
+                if any(copy_ends_at(word, colors, t, pi, sense) for pi in other_lengths):
+                    continue
+                fresh = not own >> c & 1
+                masks[b] = own | 1 << c
+                holders[c] += fresh
+                yield from walk(t + 1, max(top, b))
+                masks[b] = own
+                holders[c] -= fresh
+
+    yield from walk(0, 0)
+
+
+def _count_walk(n, k, patterns, sense, prefix=()):
+    """The walk's count of the avoiders whose word starts with `prefix`."""
+    return sum(1 for _ in _walk(n, k, patterns, sense, prefix))
+
+
 def _count_naive(n, k, patterns, sense, prefix=()):
     """Full-enumeration oracle: test every colored partition."""
     return sum(1 for s in iter_colored(n, k, prefix) if avoids_all(s, patterns, sense))
@@ -107,55 +155,29 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
     patterns = tuple(patterns)
     if n == 0:
         return 1
-    tables = None if naive else pair_tables(patterns, sense, k)
-    if tables is not None:
-        return _count_dp(n, k, tables)
+    if naive:
+        count = _count_naive
+    elif all(pi.n == 2 for pi in patterns):
+        return _count_dp(n, k, pair_tables(patterns, sense, k))
+    else:
+        count = _count_walk
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and n > PREFIX_SPLIT_LENGTH:
-        count = functools.partial(_count_naive, n, k, patterns, sense)
+        task = functools.partial(count, n, k, patterns, sense)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(count, iter_rgs(PREFIX_SPLIT_LENGTH), chunksize=4))
-    return _count_naive(n, k, patterns, sense)
+            return sum(pool.map(task, iter_rgs(PREFIX_SPLIT_LENGTH), chunksize=4))
+    return count(n, k, patterns, sense)
 
 
 def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
                   sense: Sense = Sense.PATTERN) -> Iterator[ColoredPartition]:
-    """Generate the avoiders, by pruned DFS for a length-2 pattern set."""
-    patterns = tuple(patterns)
-    tables = pair_tables(patterns, sense, k)
-    if tables is None:
-        yield from (s for s in iter_colored(n, k) if avoids_all(s, patterns, sense))
-        return
-    same_bad, diff_bad = tables
-    word = [0] * n
-    colors = [0] * n
-    masks = [0] * (n + 2)     # masks[b]: colors in block b
-    holders = [0] * (k + 1)   # holders[c]: blocks holding color c
+    """Generate the avoiders, in the walk's order."""
     # one tuple per word, shared by its avoiders as iter_colored shares it,
     # keeps large avoider sets small
     words: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def walk(t, top):
-        if t == n:
-            w = tuple(word)
-            yield ColoredPartition(words.setdefault(w, w), tuple(colors), k)
-            return
-        for b in range(1, top + 2):
-            own = masks[b]
-            others = others_mask(own, holders)
-            for c in range(1, k + 1):
-                if own & same_bad[c] or others & diff_bad[c]:
-                    continue
-                word[t] = b
-                colors[t] = c
-                fresh = not own >> c & 1
-                masks[b] = own | 1 << c
-                holders[c] += fresh
-                yield from walk(t + 1, max(top, b))
-                masks[b] = own
-                holders[c] -= fresh
-
-    yield from walk(0, 0)
+    for word, colors in _walk(n, k, tuple(patterns), sense):
+        w = tuple(word)
+        yield ColoredPartition(words.setdefault(w, w), tuple(colors), k)
 
 
 def avoider_set(n: int, k: int, patterns: Sequence[ColoredPattern],
@@ -202,14 +224,15 @@ class WilfClassification:
 
 
 def wilf_classify(family: Sequence[Sequence[ColoredPattern]], sense: Sense = Sense.PATTERN,
-                  k: int = 2, n_max: int = 6, *, jobs: int = 1) -> WilfClassification:
+                  k: int = 2, n_max: int = 6, *, naive: bool = False,
+                  jobs: int = 1) -> WilfClassification:
     """Group pattern sets whose count vectors agree for all n <= n_max."""
     if not family:
         raise ValueError("family must be nonempty")
     buckets: dict[tuple[int, ...], list[tuple[ColoredPattern, ...]]] = {}
     for patterns in family:
         patterns = tuple(sorted(patterns, key=lambda p: (p.word, p.colors)))
-        seq = avoidance_sequence(patterns, sense, k, n_max, jobs=jobs).counts
+        seq = avoidance_sequence(patterns, sense, k, n_max, naive=naive, jobs=jobs).counts
         buckets.setdefault(seq, []).append(patterns)
     classes = []
     for seq, members in buckets.items():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from colorpart import enumeration
 from colorpart.cli import main
 
 
@@ -98,6 +99,22 @@ class TestClassify:
         assert code == 0
         assert "4 Wilf classes" in out
 
+    def test_naive_runs_the_oracle(self, capsys, monkeypatch):
+        argv = ["classify", "--size", "2", "--nmax", "4"]
+        code, fast, _ = run(capsys, *argv)
+        calls = []
+        count_naive = enumeration._count_naive
+
+        def recording(*args):
+            calls.append(args)
+            return count_naive(*args)
+
+        monkeypatch.setattr(enumeration, "_count_naive", recording)
+        code_naive, slow, _ = run(capsys, *argv, "--naive")
+        assert code == code_naive == 0
+        assert slow == fast
+        assert len(calls) == 15 * 4  # every pair at every n = 1..4
+
     def test_bad_size(self, capsys):
         code, _, err = run(capsys, "classify", "--size", "9", "--nmax", "3")
         assert code == 2
@@ -140,6 +157,24 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "must be at least" in err and "Traceback" not in err
+
+    def test_cap_reads_the_bijection_size(self, capsys, monkeypatch):
+        monkeypatch.setenv("PPL_NMAX_CAP", "7")
+        code, out, err = run(capsys, "verify", "--bijection", "class2", "-n", "9")
+        assert code == 3
+        assert out == ""
+        assert "n = 9 exceeds the PPL_NMAX_CAP limit of 7" in err
+
+    def test_cap_ignores_an_unused_nmax(self, capsys, monkeypatch):
+        # the default --nmax 6 is not what runs: the bijection runs at n = 2
+        monkeypatch.setenv("PPL_NMAX_CAP", "3")
+        code, out, _ = run(capsys, "verify", "--bijection", "class2", "-n", "2")
+        assert code == 0
+        assert out == "PASS bijection class2 at n=2 (domain 5)\n"
+        # identities run at min(nmax, 6), the other checks at nmax
+        monkeypatch.setenv("PPL_NMAX_CAP", "6")
+        assert run(capsys, "verify", "--identities", "--nmax", "9")[0] == 0
+        assert run(capsys, "verify", "--symmetries", "--nmax", "9")[0] == 3
 
     def test_size_zero_bijection(self, capsys):
         code, out, _ = run(capsys, "verify", "--bijection", "f", "-n", "0")
@@ -184,6 +219,12 @@ class TestBijectionCommand:
         assert code == 2
         assert out == ""
         assert "color above 2" in err
+
+    def test_empty_permutation_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bijection", "f-inv", "")
+        assert code == 2
+        assert out == ""
+        assert "outside the f codomain S_{n+1}, n >= 0" in err
 
     def test_tau_ignores_colors(self, capsys):
         code, out, _ = run(capsys, "bijection", "tau", "1^3/2^1")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,9 +8,11 @@ from colorpart import enumeration
 from colorpart.avoidance import Sense, contains_colored
 from colorpart.core import (
     ColoredPattern,
+    canonize_sub,
     color_complement,
     parse_pattern_set,
     print_pattern_set,
+    reduce_word,
 )
 from colorpart.enumeration import (
     avoidance_sequence,
@@ -98,7 +101,7 @@ class TestCountAvoiders:
                     count_avoiders(n, 2, S, sense, naive=True)
 
     def test_parallel_matches_sequential(self):
-        # only full enumeration fans out: a length-3 set, or naive=True
+        # the walk (a length-3 set) and the oracle (naive=True) fan out
         for text, naive in (("1^12^11^2", False), ("1^11^2,1^22^1", True)):
             S = parse_pattern_set(text)
             for n in (5, 6):
@@ -194,6 +197,95 @@ class TestDPAgainstOracles:
                         (entry.label, print_pattern_set(S), n)
 
 
+@functools.lru_cache(maxsize=None)
+def hosts_with_copies(n, k):
+    """Every sigma of size n with its subpartitions of 1..3 elements.
+
+    Found by brute force over index sets: copies[m][word] holds the
+    color words of the m-element subpartitions with canonical word `word`.
+    """
+    hosts = []
+    for sigma in iter_colored(n, k):
+        copies = {m: {} for m in (1, 2, 3)}
+        for m in copies:
+            for idx in itertools.combinations(range(1, n + 1), m):
+                sub = canonize_sub(sigma, idx)
+                copies[m].setdefault(sub.word, set()).add(sub.colors)
+        hosts.append((sigma, copies))
+    return hosts
+
+
+def copy_oracle(copies, pi, sense):
+    # containment straight from the definitions, over precomputed copies
+    for colors in copies[pi.n].get(pi.word, ()):
+        if sense is Sense.PATTERN:
+            ok = reduce_word(colors) == reduce_word(pi.colors)
+        elif sense is Sense.EQ:
+            ok = colors == pi.colors
+        else:
+            ok = all(c <= p for c, p in zip(colors, pi.colors))
+        if ok:
+            return True
+    return False
+
+
+def brute_avoiders(n, k, patterns, sense):
+    return {sigma for sigma, copies in hosts_with_copies(n, k)
+            if not any(copy_oracle(copies, pi, sense) for pi in patterns)}
+
+
+class TestWalkAgainstOracles:
+    """The pruned walk against `naive=True` and a brute-force copy scan."""
+
+    THREE_ELEMENT = tuple(ColoredPattern(w, c, 2) for w in iter_rgs(3)
+                          for c in itertools.product((1, 2), repeat=3))
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_all_three_element_patterns(self, sense):
+        assert len(self.THREE_ELEMENT) == 40
+        for n in range(1, 6):
+            for pi in self.THREE_ELEMENT:
+                brute = brute_avoiders(n, 2, (pi,), sense)
+                assert avoider_set(n, 2, (pi,), sense) == brute, (pi, n)
+                assert count_avoiders(n, 2, (pi,), sense) == len(brute) == \
+                    count_avoiders(n, 2, (pi,), sense, naive=True), (pi, n)
+
+    def test_mixed_length_three_color_sets(self):
+        by_length = {m: [ColoredPattern(w, c, 3) for w in iter_rgs(m)
+                         for c in itertools.product((1, 2, 3), repeat=m)]
+                     for m in (1, 2, 3)}
+        rng = random.Random(6)
+        sets = []
+        for _ in range(100):
+            lengths = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 3))]
+            sets.append(([rng.choice(by_length[m]) for m in lengths],
+                         rng.choice(list(Sense))))
+        # every length occurs, alone and beside the others
+        assert {pi.n for S, _ in sets for pi in S} == {1, 2, 3}
+        assert sum(len({pi.n for pi in S}) > 1 for S, _ in sets) >= 40
+        for n in range(1, 5):
+            for S, sense in sets:
+                brute = brute_avoiders(n, 3, S, sense)
+                assert avoider_set(n, 3, S, sense) == brute, (S, sense, n)
+                assert count_avoiders(n, 3, S, sense) == len(brute) == \
+                    count_avoiders(n, 3, S, sense, naive=True), (S, sense, n)
+
+    def test_empty_pattern_is_contained_everywhere(self):
+        empty = ColoredPattern((), (), 2)
+        for S in ((empty,), (empty, ColoredPattern((1, 2, 1), (1, 2, 1), 2))):
+            for sense in Sense:
+                for n in range(0, 5):
+                    walk = count_avoiders(n, 2, S, sense)
+                    assert walk == count_avoiders(n, 2, S, sense, naive=True)
+                    assert avoider_set(n, 2, S, sense) == set()
+                    if n:
+                        assert walk == 0
+
+    def test_pooled_walk(self):
+        S = parse_pattern_set("1^12^11^2")
+        assert count_avoiders(6, 2, S, jobs=2) == count_avoiders(6, 2, S, naive=True)
+
+
 class TestSequencesAndClasses:
     def test_class5_sequence(self):
         seq = avoidance_sequence(parse_pattern_set("1^12^2,1^22^1"), n_max=6)
@@ -218,6 +310,18 @@ class TestSequencesAndClasses:
         family = list(itertools.combinations(canonical_pair_patterns(), 3))
         cls = wilf_classify(family, n_max=6)
         assert len(cls) == 7
+
+    @pytest.mark.parametrize("size, classes", [(2, 8), (3, 7), (4, 4), (6, 1)])
+    def test_classes_are_the_registry_entries(self, size, classes):
+        def members(pattern_sets):
+            return frozenset(frozenset(p.key() for p in S) for S in pattern_sets)
+
+        family = list(itertools.combinations(canonical_pair_patterns(), size))
+        found = {members(c) for c in wilf_classify(family, n_max=6).classes}
+        registered = {members(entry.pattern_sets) for entry in REGISTRY
+                      if len(entry.pattern_sets[0]) == size}
+        assert len(registered) == classes
+        assert found == registered
 
     def test_single_set_single_class(self):
         cls = wilf_classify([parse_pattern_set("1^11^2")], n_max=4)

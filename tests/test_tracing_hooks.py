@@ -3,7 +3,9 @@
 The span tracer wraps program functions by name, and the golden-pool
 generator reads `colorpart.tables.ALL_TABLES`.  Loading both here makes
 a refactor that removes or renames one of those names fail the test
-suite rather than a later traced run or pool rebuild.
+suite rather than a later traced run or pool rebuild.  A pooled count
+under the tracer checks that the pool's task still pickles once the
+tracer has rebound the program's functions.
 """
 
 import os
@@ -31,3 +33,15 @@ def test_golden_generator_reads_table_terms():
         "import make_golden; print(len(make_golden.Goldens().table_terms))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "53\n"
+
+
+def test_traced_pooled_walk_matches_oracle():
+    proc = run_with_bench(
+        "import tracing; tracing.install()\n"
+        "from colorpart.core import parse_pattern_set\n"
+        "from colorpart.enumeration import count_avoiders\n"
+        "S = parse_pattern_set('1^12^11^2')\n"
+        "print(count_avoiders(6, 2, S, jobs=2), count_avoiders(6, 2, S, naive=True))")
+    assert proc.returncode == 0, proc.stderr
+    pooled, oracle = proc.stdout.split()
+    assert pooled == oracle
