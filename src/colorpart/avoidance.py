@@ -16,22 +16,21 @@ read them.  A copy of any other pattern is found by `copy_ends_at`,
 which pins the copy's last element and reads nothing after it, so one
 left-to-right walk can reject an element as soon as a copy ends there.
 
-Vincular (dashed) permutation patterns are matched with adjacency
-constraints on bonded positions.
+Vincular (dashed) permutation patterns follow the same rule, in
+`vincular_ends_at` and in the permutation walk `iter_vincular_avoiders`.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     ColoredPartition,
     ColoredPattern,
     Permutation,
     VincularPattern,
-    reduce_word,
 )
 
 
@@ -159,39 +158,63 @@ def avoids_all(sigma: ColoredPartition, patterns: Iterable[ColoredPattern],
     return all(not contains_colored(sigma, pi, sense) for pi in patterns)
 
 
-def contains_vincular(q: Permutation, p: VincularPattern) -> bool:
-    """True iff `q` contains the dashed pattern `p`.
+def vincular_ends_at(q: Sequence[int], t: int, p: VincularPattern) -> bool:
+    """True iff a copy of `p` in q[0..t] (distinct entries) has its last entry at t.
 
-    Positions playing bonded pattern entries must be adjacent in `q`.
+    Reads only q[0..t].  A copy's entries are ordered as p's values and
+    bonded ones sit side by side; they are chosen left to right, each
+    checked against all those already chosen.
     """
-    m, n = p.m, q.n
-    if m > n:
+    values, bonds = p.values, p.bonds
+    last = len(values) - 1
+    if not 0 <= last <= t:
         return False
-    entries = q.entries
+    pos = [t] * last  # pos[s]: index into q of the copy's entry s
 
-    def extend(positions: list[int]) -> bool:
-        t = len(positions)
-        if t == m:
-            return reduce_word([entries[i - 1] for i in positions]) == p.values
-        if t and t in p.bonds:
-            candidates = [positions[-1] + 1]
-        else:
-            start = positions[-1] + 1 if positions else 1
-            candidates = range(start, n - (m - t) + 2)
-        for i in candidates:
-            if i > n:
-                break
-            positions.append(i)
-            if extend(positions):
-                return True
-            positions.pop()
+    def place(s: int, first: int) -> bool:
+        if s == last:
+            return True
+        # beside entry s-1, or anywhere leaving room for entries s+1..last-1
+        final = first if s in bonds else t - last + s
+        if s == last - 1 and last in bonds:  # beside the pinned entry
+            first = t - 1
+        w, below_last = values[s], values[s] < values[last]
+        for i in range(first, final + 1):
+            v = q[i]
+            if ((v < q[t]) == below_last
+                    and all((v < q[pos[a]]) == (w < values[a]) for a in range(s))):
+                pos[s] = i
+                if place(s + 1, i + 1):
+                    return True
         return False
 
-    return extend([])
+    return place(0, 0)
 
 
-def avoids_vincular(q: Permutation, patterns: Iterable[VincularPattern]) -> bool:
-    return all(not contains_vincular(q, p) for p in patterns)
+def contains_vincular(q: Permutation, p: VincularPattern) -> bool:
+    """True iff a copy of `p` ends at some entry of `q`; the empty `p` is everywhere."""
+    return p.m == 0 or any(vincular_ends_at(q.entries, t, p) for t in range(p.m - 1, q.n))
+
+
+def iter_vincular_avoiders(m: int, patterns: Sequence[VincularPattern]
+                           ) -> Iterator[Permutation]:
+    """The permutations of [m] avoiding every pattern, by a pruned walk.
+
+    A prefix is dropped as soon as a copy ends at its last entry.
+    """
+    if any(p.m == 0 for p in patterns):
+        return  # every permutation contains the empty pattern
+    q = [0] * m
+
+    def walk(t, rest):
+        if not rest:
+            yield Permutation(q)
+        for v in rest:
+            q[t] = v
+            if not any(vincular_ends_at(q, t, p) for p in patterns):
+                yield from walk(t + 1, rest - {v})
+
+    yield from walk(0, frozenset(range(1, m + 1)))
 
 
 def begins_with_ascent(q: Permutation) -> bool:

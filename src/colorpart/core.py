@@ -300,10 +300,11 @@ class Permutation:
 
 def parse_permutation(text: str) -> Permutation:
     text = text.strip()
-    if "," in text or " " in text:
-        entries = tuple(int(t) for t in re.split(r"[,\s]+", text) if t)
-    else:
-        entries = tuple(int(ch) for ch in text)
+    tokens = re.split(r"[,\s]+", text) if "," in text or " " in text else text
+    try:
+        entries = tuple(int(t) for t in tokens if t)
+    except ValueError:
+        raise PatternSyntaxError("malformed permutation %r" % text) from None
     return Permutation(entries)
 
 

@@ -153,8 +153,6 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
     if n < 0:
         raise ValueError("n must be nonnegative")
     patterns = tuple(patterns)
-    if n == 0:
-        return 1
     if naive:
         count = _count_naive
     elif all(pi.n == 2 for pi in patterns):

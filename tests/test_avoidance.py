@@ -9,11 +9,13 @@ from colorpart.avoidance import (
     contains_colored,
     contains_colored_generic,
     contains_vincular,
+    iter_vincular_avoiders,
 )
 from colorpart.core import (
     ColoredPartition,
     ColoredPattern,
     Permutation,
+    VincularPattern,
     canonize_sub,
     parse_blocks,
     parse_pattern,
@@ -23,6 +25,7 @@ from colorpart.core import (
     reduce_word,
 )
 from colorpart.enumeration import canonical_pair_patterns, iter_colored, iter_rgs
+from colorpart.formulas import bell
 
 
 def pairwise_oracle(sigma, pi, sense):
@@ -174,6 +177,64 @@ class TestVincular:
         q = Permutation((2, 4, 1, 3))
         # rises 2,4 (adjacent) but nothing above 4 afterwards; 1,3 adjacent, nothing later
         assert not contains_vincular(q, parse_vincular("12-3"))
+
+
+def vincular_oracle(q, p):
+    # independent scan over index sets, straight from the definition:
+    # bonded pattern positions sit side by side, values order-isomorphic
+    return any(all(idx[b] == idx[b - 1] + 1 for b in p.bonds)
+               and reduce_word([q[i] for i in idx]) == p.values
+               for idx in combinations(range(q.n), p.m))
+
+
+def all_permutations(m):
+    return [Permutation(e) for e in permutations(range(1, m + 1))]
+
+
+P12_3, P214_3, P1_23 = (parse_vincular(t) for t in ("12-3", "214-3", "1-23"))
+
+
+class TestVincularAgainstOracle:
+    # every length-3 pattern under each of its four bond sets, 214-3, and
+    # two of 1324, where the order of entries 0 and 2 follows from no other
+    PATTERNS = [VincularPattern(v, b) for v in permutations((1, 2, 3))
+                for b in ((), (1,), (2,), (1, 2))]
+    PATTERNS += [P214_3, parse_vincular("1-3-2-4"), parse_vincular("1-32-4")]
+
+    def test_contains_matches_oracle(self):
+        for m in range(7):
+            for q in all_permutations(m):
+                for p in self.PATTERNS:
+                    assert contains_vincular(q, p) == vincular_oracle(q, p), (q, p)
+
+    @pytest.mark.parametrize("patterns,ascent", [
+        ((P12_3, P214_3), False),  # the f codomain
+        ((P1_23,), False),         # the tau codomain
+        ((P12_3,), True),          # the g codomain: 12-3-avoiders led by 12
+    ])
+    def test_walk_matches_filter(self, patterns, ascent):
+        for m in range(8):
+            walked = set(iter_vincular_avoiders(m, patterns))
+            assert len(walked) == len(list(iter_vincular_avoiders(m, patterns)))  # no repeats
+            filtered = {q for q in all_permutations(m)
+                        if not any(vincular_oracle(q, p) for p in patterns)}
+            if ascent:
+                walked = {q for q in walked if begins_with_ascent(q)}
+                filtered = {q for q in filtered if begins_with_ascent(q)}
+            assert walked == filtered, m
+
+    def test_walk_small_hosts(self):
+        assert list(iter_vincular_avoiders(0, (P12_3,))) == [Permutation(())]
+        assert list(iter_vincular_avoiders(1, (P12_3,))) == [Permutation((1,))]
+        empty = VincularPattern((), ())
+        for m in range(4):
+            assert list(iter_vincular_avoiders(m, (P12_3, empty))) == []
+            assert all(contains_vincular(q, empty) for q in all_permutations(m))
+
+    def test_bell_counts_past_eight(self):
+        # |S_m(1-23)| = |S_m(12-3)| = B(m) (Claesson 2001)
+        for p in (P1_23, P12_3):
+            assert sum(1 for _ in iter_vincular_avoiders(9, (p,))) == bell(9) == 21147
 
 
 class TestBeginsWithAscent:

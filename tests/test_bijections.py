@@ -3,8 +3,8 @@ import pytest
 from colorpart.avoidance import (
     Sense,
     avoids_all,
-    avoids_vincular,
     begins_with_ascent,
+    contains_vincular,
 )
 from colorpart.bijections import (
     CLASS2_CODOMAIN,
@@ -53,7 +53,8 @@ class TestF:
             for sigma in iter_avoiders(n, 2, F_DOMAIN):
                 q = bij_f(sigma)
                 assert q.n == n + 1
-                assert avoids_vincular(q, (PAT_12_3, PAT_214_3))
+                assert not contains_vincular(q, PAT_12_3)
+                assert not contains_vincular(q, PAT_214_3)
                 assert bij_f_inv(q) == sigma
                 images.add(q)
             # bijective onto S_{n+1} avoiding both dashed patterns
@@ -89,7 +90,7 @@ class TestTau:
             images = set()
             for sigma in iter_avoiders(n, 1, ()):
                 q = block_descent_tau(sigma)
-                assert avoids_vincular(q, (PAT_1_23,))
+                assert not contains_vincular(q, PAT_1_23)
                 images.add(q)
             assert len(images) == bell(n)
 
@@ -106,7 +107,7 @@ class TestG:
                 q = bij_g(sigma)
                 assert q.n == n + 2
                 assert begins_with_ascent(q)
-                assert avoids_vincular(q, (PAT_12_3,))
+                assert not contains_vincular(q, PAT_12_3)
                 assert q[1] == n + 2
                 images.add(q)
             assert len(images) == (n + 1) * bell(n)
@@ -152,6 +153,12 @@ class TestVerifyReports:
     def test_all_pass_small(self, name):
         report = verify_bijection(name, 5)
         assert report.ok, report
+
+    def test_surjectivity_checked_past_eight(self):
+        # the g codomain lives in S_9, past what filtering all m! could reach
+        report = verify_bijection("g", 7)
+        assert report.ok, report
+        assert report.codomain_size == report.domain_size == 7016
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

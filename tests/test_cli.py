@@ -132,15 +132,6 @@ class TestVerify:
         assert code == 0
         assert "PASS bijection f at n=4 (domain 43)" in out
 
-    def test_skipped_surjectivity_is_partial(self, capsys, monkeypatch):
-        # as when the permutation host is too large to enumerate (m > 8)
-        monkeypatch.setattr("colorpart.bijections._perm_codomain",
-                            lambda m, predicate: None)
-        code, out, _ = run(capsys, "verify", "--bijection", "f", "-n", "4")
-        assert code == 0
-        assert out == ("PARTIAL bijection f at n=4 (domain 43; surjectivity "
-                       "not checked: codomain not enumerated)\n")
-
     def test_no_target_is_usage_error(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 2
@@ -225,6 +216,13 @@ class TestBijectionCommand:
         assert code == 2
         assert out == ""
         assert "outside the f codomain S_{n+1}, n >= 0" in err
+
+    @pytest.mark.parametrize("text", ["2 1 3 x", "12a"])
+    def test_malformed_permutation_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "bijection", "f-inv", text)
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed permutation %r\n" % text
 
     def test_tau_ignores_colors(self, capsys):
         code, out, _ = run(capsys, "bijection", "tau", "1^3/2^1")

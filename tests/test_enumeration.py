@@ -10,6 +10,7 @@ from colorpart.core import (
     ColoredPattern,
     canonize_sub,
     color_complement,
+    parse_pattern,
     parse_pattern_set,
     print_pattern_set,
     reduce_word,
@@ -278,8 +279,18 @@ class TestWalkAgainstOracles:
                     walk = count_avoiders(n, 2, S, sense)
                     assert walk == count_avoiders(n, 2, S, sense, naive=True)
                     assert avoider_set(n, 2, S, sense) == set()
-                    if n:
-                        assert walk == 0
+                    assert walk == 0
+
+    def test_size_zero_every_engine(self):
+        # the DP, the walk and the oracle all answer n = 0 themselves
+        empty = ColoredPattern((), (), 2)
+        for S in ((), (empty,), (empty, parse_pattern("1^12^11^2")),
+                  parse_pattern_set("1^11^2,1^21^1")):
+            for sense in Sense:
+                count = count_avoiders(0, 2, S, sense)
+                assert count == len(avoider_set(0, 2, S, sense)) == \
+                    count_avoiders(0, 2, S, sense, naive=True), S
+                assert count == (0 if empty in S else 1)
 
     def test_pooled_walk(self):
         S = parse_pattern_set("1^12^11^2")

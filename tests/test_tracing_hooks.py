@@ -5,7 +5,8 @@ generator reads `colorpart.tables.ALL_TABLES`.  Loading both here makes
 a refactor that removes or renames one of those names fail the test
 suite rather than a later traced run or pool rebuild.  A pooled count
 under the tracer checks that the pool's task still pickles once the
-tracer has rebound the program's functions.
+tracer has rebound the program's functions.  Every seed-1 benchmark
+request, run in process, must pass the benchmark's own output check.
 """
 
 import os
@@ -45,3 +46,23 @@ def test_traced_pooled_walk_matches_oracle():
     assert proc.returncode == 0, proc.stderr
     pooled, oracle = proc.stdout.split()
     assert pooled == oracle
+
+
+def test_benchmark_outputs_pass_the_golden_check():
+    proc = run_with_bench(
+        "import contextlib, io\n"
+        "import run, workloads\n"
+        "from colorpart import cli\n"
+        "pools = workloads.Pools(run.POOLS)\n"
+        "total = 0\n"
+        "for w in workloads.WORKLOADS:\n"
+        "    for req in workloads.build(w, 1, pools):\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            code = cli.main(req.argv)\n"
+        "        reason = workloads.check(req, code, out.getvalue())\n"
+        "        assert reason is None, (w, req.argv, reason)\n"
+        "        total += 1\n"
+        "print(total)")
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
