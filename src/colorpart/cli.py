@@ -167,11 +167,10 @@ def _verify_formulas(n_max, jobs, out) -> bool:
     ok = True
     for entry in REGISTRY:
         for patterns in entry.pattern_sets:
-            good = True
-            for n in range(entry.min_n, n_max + 1):
-                if closed_form(entry, n) != count_avoiders(n, 2, patterns,
-                                                           jobs=jobs):
-                    good = False
+            counts = avoidance_sequence(patterns, Sense.PATTERN, 2, n_max,
+                                        jobs=jobs).counts
+            good = all(closed_form(entry, n) == counts[n - 1]
+                       for n in range(entry.min_n, n_max + 1))
             ok &= good
             out.write("%s %s {%s}\n" % ("PASS" if good else "FAIL",
                                         entry.label, print_pattern_set(patterns)))

@@ -1,13 +1,16 @@
 """Exhaustive generation and avoidance counting.
 
-When every forbidden pattern has length 2, counting runs a transfer DP
-over the multiset of block color masks.  Every other set is counted,
-and every set's avoiders are generated, by one left-to-right walk over
-the colored words that rejects an element as soon as a copy ends at it:
-a length-2 copy by the `avoidance.pair_tables` of the set, a copy of
-any other length by `avoidance.copy_ends_at`.  Full enumeration over
-`iter_colored` serves only as the oracle (`naive=True`).  The walk and
-the oracle split their search by word prefix across `jobs` processes.
+Counting runs a forward transfer DP, in this process, that yields every
+count up to n in one pass.  When every forbidden pattern has length 2
+its states are multisets of block color masks (`_count_dp`); for every
+other set they are prefix residuals: the partial copies a prefix still
+holds and where they bar the next element (`_count_residual`).  Every
+set's avoiders are generated by one left-to-right walk over the colored
+words that rejects an element as soon as a copy ends at it: a length-2
+copy by the `avoidance.pair_tables` of the set, a copy of any other
+length by `avoidance.copy_ends_at`.  Full enumeration over
+`iter_colored` serves only as the oracle (`naive=True`), the one search
+split by word prefix across `jobs` processes.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def iter_colored(n: int, k: int = 2,
 # --- counting ------------------------------------------------------------
 
 def _count_dp(n, k, tables):
-    """Avoiders counted by a transfer DP over the block color masks.
+    """Avoider counts [a(0), ..., a(n)] by a transfer DP over the block color masks.
 
     Whether a new element completes a length-2 copy depends only on its
     color, its own block's color mask and the union of the other blocks'
@@ -75,6 +78,7 @@ def _count_dp(n, k, tables):
     """
     same_bad, diff_bad = tables
     states = {(): 1}
+    counts = [1]
     for _ in range(n):
         nxt: dict[tuple[int, ...], int] = {}
         for state, weight in states.items():
@@ -92,14 +96,162 @@ def _count_dp(n, k, tables):
                     key = tuple(sorted(rest + [own | 1 << c]))
                     nxt[key] = nxt.get(key, 0) + weight * mult
         states = nxt
-    return sum(states.values())
+        counts.append(sum(states.values()))
+    return counts
 
 
-def _walk(n, k, patterns, sense, prefix=()):
+def _count_residual(n, k, patterns, sense):
+    """Avoider counts [a(0), ..., a(n)] by a forward DP over prefix residuals.
+
+    A prefix matters to its extensions only through the copies they can
+    still complete (the transfer-matrix method, Stanley, EC1 4.7, with
+    states as in Zeilberger's enumeration schemes).  A state holds:
+
+    * `free`, the number of nonempty blocks nothing below refers to; a
+      next element joins one as it would open a new block;
+    * the partial copies two or more elements short, as (pattern, length,
+      host blocks of the pattern's blocks, colors), colors kept only in
+      the pattern sense and only while the copy can still be completed;
+    * per color c, where a next element of color c completes a copy one
+      element short: F[c-1] is (False, blocks) when it is barred from
+      `blocks` only, or (True, blocks) when it is allowed in `blocks`
+      only, so that a copy whose last element opens a block bars every
+      other block, later ones included.
+
+    Blocks are relabelled in the order of a signature of their roles; any
+    bijective relabelling leaves the count unchanged.  Each state carries
+    the number of colored prefixes that reach it.
+    """
+    if any(pi.n == 0 for pi in patterns):
+        return [0] * (n + 1)  # every partition contains the empty pattern
+    pats = [(pi.word, pi.colors) for pi in patterns]
+    ordered = sense is Sense.PATTERN
+    memo: dict[tuple, int] = {}
+
+    def colors_at(p, j, chosen):
+        """Colors (a bitmask) element j of a copy of pattern p may take
+        after the colors `chosen`, such that the copy can still be completed."""
+        key = (p, j, chosen)
+        mask = memo.get(key)
+        if mask is None:
+            word, want = pats[p]
+            mask = 0
+            for c in range(1, k + 1):
+                if sense is Sense.EQ:
+                    ok = c == want[j]
+                elif sense is Sense.LT:
+                    ok = c <= want[j]
+                else:
+                    ok = all((c > d) - (c < d) == (want[j] > w) - (want[j] < w)
+                             for d, w in zip(chosen, want))
+                if ok and (j + 1 == len(word)
+                           or colors_at(p, j + 1, chosen + (c,) if ordered else ())):
+                    mask |= 1 << c
+            memo[key] = mask
+        return mask
+
+    # the empty copy of every longer pattern; a length-1 pattern bars its
+    # colors from every block
+    starts = [(p, 0, (), ()) for p, (word, _) in enumerate(pats)
+              if len(word) > 1 and colors_at(p, 0, ())]
+    F0 = tuple((any(len(word) == 1 and colors_at(p, 0, ()) >> c & 1
+                    for p, (word, _) in enumerate(pats)), frozenset())
+               for c in range(1, k + 1))
+
+    def canon(copies, F):
+        """(referenced blocks, copies, F) with blocks relabelled 0, 1, ... by role."""
+        roles: dict[int, list] = {}
+        for p, j, B, C in copies:
+            for pos, x in enumerate(B):
+                roles.setdefault(x, []).append((p, j, pos, C))
+        for c, (only, blocks) in enumerate(F):
+            for x in blocks:
+                roles.setdefault(x, []).append((-1, c, only))
+        order = sorted(roles, key=lambda x: sorted(roles[x]))
+        label = dict(zip(order, range(len(order)))).__getitem__
+        return (len(order),
+                tuple(sorted((p, j, tuple(map(label, B)), C) for p, j, B, C in copies)),
+                tuple((only, frozenset(map(label, blocks)) if blocks else blocks)
+                      for only, blocks in F))
+
+    def moves(r, copies, F):
+        """{(fresh, r2, copies2, F2): ways} over the next element's block and color.
+
+        Blocks 0..r-1 are the referenced ones; block r stands for a free or
+        a new block (`fresh`), which no copy or entry of F names.
+        """
+        joins: dict[int, list] = {}  # block -> copies whose next element joins it
+        opens = []                   # copies whose next element opens a block
+        for cp in itertools.chain(starts, copies):
+            p, j, B, C = cp
+            q = pats[p][0][j]
+            if q <= len(B):
+                joins.setdefault(B[q - 1], []).append((colors_at(p, j, C), cp))
+            else:
+                opens.append((colors_at(p, j, C), cp))
+        out: dict[tuple, int] = {}
+        for b in range(r + 1):
+            grows = joins.get(b, []) + [(mask, cp) for mask, cp in opens if b not in cp[2]]
+            for c in range(1, k + 1):
+                only, blocks = F[c - 1]
+                if (b in blocks) != only:
+                    continue  # completes a copy
+                grown = []
+                F2 = None
+                for mask, (p, j, B, C) in grows:
+                    if not mask >> c & 1:
+                        continue
+                    word = pats[p][0]
+                    if word[j] > len(B):
+                        B += (b,)
+                    if ordered:
+                        C += (c,)
+                    if j + 2 < len(word):
+                        grown.append((p, j + 1, B, C))
+                        continue
+                    # one element short: bar its last element's block, or
+                    # every block but the copy's own when it opens one
+                    q, last = word[j + 1], colors_at(p, j + 1, C)
+                    F2 = F2 or list(F)
+                    for d in range(1, k + 1):
+                        if last >> d & 1:
+                            only, blocks = F2[d - 1]
+                            if q <= len(B):
+                                where = B[q - 1]
+                                F2[d - 1] = (only, blocks - {where} if only else blocks | {where})
+                            else:
+                                F2[d - 1] = (True, blocks.intersection(B) if only
+                                             else frozenset(B) - blocks)
+                F2 = F if F2 is None else tuple(F2)
+                key = (b == r,) + (canon(set(copies).union(grown), F2)
+                                   if grown or F2 != F else (r, copies, F))
+                out[key] = out.get(key, 0) + 1
+        return out
+
+    states = {(0, 0, (), F0): 1}  # (free, referenced blocks, copies, F): weight
+    memo_moves: dict[tuple, dict] = {}
+    counts = [1]
+    for _ in range(n):
+        nxt: dict[tuple, int] = {}
+        for (free, r, copies, F), weight in states.items():
+            out = memo_moves.get((copies, F))
+            if out is None:
+                out = memo_moves[copies, F] = moves(r, copies, F)
+            for (fresh, r2, copies2, F2), ways in out.items():
+                # a fresh block is one of the `free` ones or a new one
+                for opened, mult in ((0, ways * free), (1, ways)) if fresh else ((0, ways),):
+                    if mult:
+                        key = (free + opened + r - r2, r2, copies2, F2)
+                        nxt[key] = nxt.get(key, 0) + weight * mult
+        states = nxt
+        counts.append(sum(states.values()))
+    return counts
+
+
+def _walk(n, k, patterns, sense):
     """Left-to-right walk over the colored words of size n that avoid `patterns`.
 
-    Yields (word, colors) for every avoider whose word starts with the
-    restricted growth string `prefix`, as lists the walk goes on to
+    Yields (word, colors) for every avoider, as lists the walk goes on to
     overwrite.  Containment is monotone, so an element is rejected as
     soon as a copy ends at it.
     """
@@ -116,7 +268,7 @@ def _walk(n, k, patterns, sense, prefix=()):
         if t == n:
             yield word, colors
             return
-        for b in (prefix[t],) if t < len(prefix) else range(1, top + 2):
+        for b in range(1, top + 2):
             own = masks[b]
             others = others_mask(own, holders)
             word[t] = b
@@ -136,35 +288,40 @@ def _walk(n, k, patterns, sense, prefix=()):
     yield from walk(0, 0)
 
 
-def _count_walk(n, k, patterns, sense, prefix=()):
-    """The walk's count of the avoiders whose word starts with `prefix`."""
-    return sum(1 for _ in _walk(n, k, patterns, sense, prefix))
-
-
 def _count_naive(n, k, patterns, sense, prefix=()):
     """Full-enumeration oracle: test every colored partition."""
     return sum(1 for s in iter_colored(n, k, prefix) if avoids_all(s, patterns, sense))
 
 
+def _counts(n, k, patterns, sense):
+    """[a(0), ..., a(n)] from the DP for the set: by block masks when every
+    pattern has length 2, by prefix residuals otherwise."""
+    if all(pi.n == 2 for pi in patterns):
+        return _count_dp(n, k, pair_tables(patterns, sense, k))
+    return _count_residual(n, k, patterns, sense)
+
+
 def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
                    sense: Sense = Sense.PATTERN, *, naive: bool = False,
                    jobs: int = 1) -> int:
-    """|{sigma in Pi_n wr C_k : sigma avoids every pattern}|."""
+    """|{sigma in Pi_n wr C_k : sigma avoids every pattern}|.
+
+    Counted in this process by a DP (see `_counts`).  `naive=True` runs
+    the full-enumeration oracle instead, split by word prefix across at
+    most `jobs` processes (no more than the CPU count) when n is larger
+    than the prefix.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     patterns = tuple(patterns)
-    if naive:
-        count = _count_naive
-    elif all(pi.n == 2 for pi in patterns):
-        return _count_dp(n, k, pair_tables(patterns, sense, k))
-    else:
-        count = _count_walk
+    if not naive:
+        return _counts(n, k, patterns, sense)[n]
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and n > PREFIX_SPLIT_LENGTH:
-        task = functools.partial(count, n, k, patterns, sense)
+        task = functools.partial(_count_naive, n, k, patterns, sense)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(task, iter_rgs(PREFIX_SPLIT_LENGTH), chunksize=4))
-    return count(n, k, patterns, sense)
+    return _count_naive(n, k, patterns, sense)
 
 
 def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
@@ -204,8 +361,11 @@ def avoidance_sequence(patterns: Sequence[ColoredPattern], sense: Sense = Sense.
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     patterns = tuple(patterns)
-    counts = tuple(count_avoiders(n, k, patterns, sense, naive=naive, jobs=jobs)
-                   for n in range(1, n_max + 1))
+    if naive:
+        counts = tuple(count_avoiders(n, k, patterns, sense, naive=True, jobs=jobs)
+                       for n in range(1, n_max + 1))
+    else:
+        counts = tuple(_counts(n_max, k, patterns, sense)[1:])
     return AvoidanceSequence(print_pattern_set(patterns), sense, k, counts)
 
 

@@ -302,6 +302,6 @@ def test_criterion_12_performance_stretch():
     if got != expected:
         failures.append(("count", got, expected))
     note = "within" if elapsed < 60 else "OVER (non-blocking)"
-    _report(12, "pruned parallel count at n = 10 equals the closed form "
+    _report(12, "DP count at n = 10 (jobs = 4, in process) equals the closed form "
                 "(%d); %.1fs, %s the 60s target" % (expected, elapsed, note),
             failures)

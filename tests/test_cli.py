@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from colorpart import enumeration
+from colorpart import cli, enumeration
 from colorpart.cli import main
 
 
@@ -179,6 +179,18 @@ class TestVerify:
         assert code == 0
         assert len(lines) == count
         assert all(line.startswith("PASS ") for line in lines)
+
+    def test_formula_wrong_at_one_n_fails(self, capsys, monkeypatch):
+        closed_form = cli.closed_form
+
+        def wrong_at_4(entry, n):
+            return closed_form(entry, n) + (entry.label == "pair class 5" and n == 4)
+
+        monkeypatch.setattr(cli, "closed_form", wrong_at_4)
+        code, out, _ = run(capsys, "verify", "--formulas", "--nmax", "6")
+        failed = [line for line in out.splitlines() if not line.startswith("PASS ")]
+        assert code == 1
+        assert failed and all(line.startswith("FAIL pair class 5 {") for line in failed)
 
     def test_table_lines_carry_registry_labels(self, capsys):
         _, out, _ = run(capsys, "verify", "--tables", "--nmax", "6")

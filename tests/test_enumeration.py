@@ -102,14 +102,17 @@ class TestCountAvoiders:
                     count_avoiders(n, 2, S, sense, naive=True)
 
     def test_parallel_matches_sequential(self):
-        # the walk (a length-3 set) and the oracle (naive=True) fan out
-        for text, naive in (("1^12^11^2", False), ("1^11^2,1^22^1", True)):
+        # only the oracle (naive=True) fans out, for sets of any length
+        for text in ("1^12^11^2", "1^11^2,1^22^1"):
             S = parse_pattern_set(text)
             for n in (5, 6):
-                assert count_avoiders(n, 2, S, naive=naive, jobs=2) == \
-                    count_avoiders(n, 2, S, naive=naive)
+                assert count_avoiders(n, 2, S, naive=True, jobs=2) == \
+                    count_avoiders(n, 2, S, naive=True)
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
+    @staticmethod
+    def recording_pool(monkeypatch):
+        """Replace the process pool by an in-process one; returns the
+        list of the worker counts it was started with."""
         started = []
 
         class RecordingPool:
@@ -127,12 +130,24 @@ class TestCountAvoiders:
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+        return started
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        started = self.recording_pool(monkeypatch)
         S = parse_pattern_set("1^12^11^2")
-        assert count_avoiders(5, 2, S, jobs=64) == count_avoiders(5, 2, S)
+        assert count_avoiders(5, 2, S, naive=True, jobs=64) == count_avoiders(5, 2, S)
         assert started == [2]
         # a length-2 set is counted in-process whatever jobs is
         count_avoiders(7, 2, parse_pattern_set("1^11^2"), jobs=2)
         assert started == [2]
+
+    def test_counts_without_naive_start_no_pool(self, monkeypatch):
+        started = self.recording_pool(monkeypatch)
+        S = parse_pattern_set("1^12^11^2")
+        assert count_avoiders(7, 2, S, jobs=2) == count_avoiders(7, 2, S)
+        assert avoidance_sequence(S, n_max=7, jobs=2).counts[-1] == \
+            count_avoiders(7, 2, S)
+        assert started == []
 
     def test_iter_avoiders_consistent(self):
         S = parse_pattern_set("1^12^1,1^22^1")
@@ -236,7 +251,8 @@ def brute_avoiders(n, k, patterns, sense):
 
 
 class TestWalkAgainstOracles:
-    """The pruned walk against `naive=True` and a brute-force copy scan."""
+    """The pruned walk (the avoiders) and the residual DP (their count)
+    against `naive=True` and a brute-force copy scan."""
 
     THREE_ELEMENT = tuple(ColoredPattern(w, c, 2) for w in iter_rgs(3)
                           for c in itertools.product((1, 2), repeat=3))
@@ -282,7 +298,7 @@ class TestWalkAgainstOracles:
                     assert walk == 0
 
     def test_size_zero_every_engine(self):
-        # the DP, the walk and the oracle all answer n = 0 themselves
+        # both DPs, the walk and the oracle all answer n = 0 themselves
         empty = ColoredPattern((), (), 2)
         for S in ((), (empty,), (empty, parse_pattern("1^12^11^2")),
                   parse_pattern_set("1^11^2,1^21^1")):
@@ -294,7 +310,46 @@ class TestWalkAgainstOracles:
 
     def test_pooled_walk(self):
         S = parse_pattern_set("1^12^11^2")
-        assert count_avoiders(6, 2, S, jobs=2) == count_avoiders(6, 2, S, naive=True)
+        assert count_avoiders(6, 2, S, naive=True, jobs=2) == \
+            sum(1 for _ in enumeration._walk(6, 2, S, Sense.PATTERN))
+
+
+class TestResidualDP:
+    """The residual DP against the walk's count of the avoiders it visits."""
+
+    @staticmethod
+    def walk_count(n, k, patterns, sense):
+        return sum(1 for _ in enumeration._walk(n, k, tuple(patterns), sense))
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_all_three_element_patterns(self, sense, n):
+        for pi in TestWalkAgainstOracles.THREE_ELEMENT:
+            assert enumeration._count_residual(n, 2, (pi,), sense)[n] == \
+                self.walk_count(n, 2, (pi,), sense), (pi, n)
+
+    def test_mixed_length_three_color_sets(self):
+        by_length = {m: [ColoredPattern(w, c, 3) for w in iter_rgs(m)
+                         for c in itertools.product((1, 2, 3), repeat=m)]
+                     for m in (1, 2, 3, 4)}
+        rng = random.Random(12)
+        sets = []
+        for _ in range(60):
+            lengths = [rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(1, 3))]
+            sets.append(([rng.choice(by_length[m]) for m in lengths],
+                         rng.choice(list(Sense))))
+        assert {pi.n for S, _ in sets for pi in S} == {1, 2, 3, 4}
+        for S, sense in sets:
+            counts = enumeration._count_residual(5, 3, S, sense)
+            assert counts == [self.walk_count(n, 3, S, sense) for n in range(6)], \
+                (S, sense)
+
+    @pytest.mark.parametrize("text", ["1^11^2,1^22^1", "1^12^11^2,1^11^2"])
+    def test_one_pass_sequence(self, text):
+        S = parse_pattern_set(text)
+        counts = avoidance_sequence(S, n_max=6).counts
+        assert counts == tuple(count_avoiders(n, 2, S) for n in range(1, 7))
+        assert counts == tuple(count_avoiders(n, 2, S, naive=True) for n in range(1, 7))
 
 
 class TestSequencesAndClasses:

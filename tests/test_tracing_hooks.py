@@ -3,9 +3,9 @@
 The span tracer wraps program functions by name, and the golden-pool
 generator reads `colorpart.tables.ALL_TABLES`.  Loading both here makes
 a refactor that removes or renames one of those names fail the test
-suite rather than a later traced run or pool rebuild.  A pooled count
-under the tracer checks that the pool's task still pickles once the
-tracer has rebound the program's functions.  Every seed-1 benchmark
+suite rather than a later traced run or pool rebuild.  A pooled oracle
+count under the tracer checks that the pool's task still pickles once
+the tracer has rebound the program's functions.  Every seed-1 benchmark
 request, run in process, must pass the benchmark's own output check.
 """
 
@@ -42,10 +42,10 @@ def test_traced_pooled_walk_matches_oracle():
         "from colorpart.core import parse_pattern_set\n"
         "from colorpart.enumeration import count_avoiders\n"
         "S = parse_pattern_set('1^12^11^2')\n"
-        "print(count_avoiders(6, 2, S, jobs=2), count_avoiders(6, 2, S, naive=True))")
+        "print(count_avoiders(6, 2, S, naive=True, jobs=2), count_avoiders(6, 2, S))")
     assert proc.returncode == 0, proc.stderr
-    pooled, oracle = proc.stdout.split()
-    assert pooled == oracle
+    pooled, dp = proc.stdout.split()
+    assert pooled == dp
 
 
 def test_benchmark_outputs_pass_the_golden_check():
