@@ -148,14 +148,14 @@ def cmd_classify(args, out) -> int:
     return EXIT_OK
 
 
-def _verify_tables(n_max, jobs, out) -> bool:
+def _verify_tables(n_max, out) -> bool:
     ok = True
     for entry in REGISTRY:
         if not entry.terms:
             continue
         upto = min(n_max, len(entry.terms))
         for patterns in entry.pattern_sets:
-            seq = avoidance_sequence(patterns, Sense.PATTERN, 2, upto, jobs=jobs)
+            seq = avoidance_sequence(patterns, Sense.PATTERN, 2, upto)
             good = seq.counts == entry.terms[:upto]
             ok &= good
             out.write("%s %s {%s}: %s\n" % ("PASS" if good else "FAIL", entry.label,
@@ -163,12 +163,11 @@ def _verify_tables(n_max, jobs, out) -> bool:
     return ok
 
 
-def _verify_formulas(n_max, jobs, out) -> bool:
+def _verify_formulas(n_max, out) -> bool:
     ok = True
     for entry in REGISTRY:
         for patterns in entry.pattern_sets:
-            counts = avoidance_sequence(patterns, Sense.PATTERN, 2, n_max,
-                                        jobs=jobs).counts
+            counts = avoidance_sequence(patterns, Sense.PATTERN, 2, n_max).counts
             good = all(closed_form(entry, n) == counts[n - 1]
                        for n in range(entry.min_n, n_max + 1))
             ok &= good
@@ -191,13 +190,13 @@ def cmd_verify(args, out) -> int:
     ran = False
     if args.all or args.tables:
         ran = True
-        ok &= _verify_tables(args.nmax, args.jobs, out)
+        ok &= _verify_tables(args.nmax, out)
     if args.all or args.formulas:
         ran = True
-        ok &= _verify_formulas(args.nmax, args.jobs, out)
+        ok &= _verify_formulas(args.nmax, out)
     if args.all or args.symmetries:
         ran = True
-        report = verify_color_symmetries(args.nmax, jobs=args.jobs)
+        report = verify_color_symmetries(args.nmax)
         out.write("%s color symmetries (%d identities)\n"
                   % ("PASS" if report.ok else "FAIL", len(report.checks)))
         for failure in report.failures:
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("-n", "--n", type=nonnegative_int, default=None,
                        help="size for bijection verification")
     p_ver.add_argument("--nmax", type=positive_int, default=6)
-    p_ver.add_argument("--jobs", type=positive_int, default=1)
     p_ver.set_defaults(func=cmd_verify)
 
     p_bij = sub.add_parser("bijection", help="apply a bijection to one object")

@@ -472,17 +472,17 @@ class VerificationReport:
         return not self.failures
 
 
-def verify_color_symmetries(n_max: int = 6, k: int = 2, sense: Sense = Sense.PATTERN,
-                  *, jobs: int = 1) -> VerificationReport:
+def verify_color_symmetries(n_max: int = 6, k: int = 2,
+                            sense: Sense = Sense.PATTERN) -> VerificationReport:
     """Color reversal and complement preserve avoidance sequences."""
     from .core import color_complement, color_reverse
 
     report = VerificationReport("color-symmetry")
     for pi in canonical_pair_patterns(k):
-        base = avoidance_sequence((pi,), sense, k, n_max, jobs=jobs).counts
+        base = avoidance_sequence((pi,), sense, k, n_max).counts
         for label, image in (("reverse", color_reverse(pi)),
                              ("complement", color_complement(pi))):
-            other = avoidance_sequence((image,), sense, k, n_max, jobs=jobs).counts
+            other = avoidance_sequence((image,), sense, k, n_max).counts
             desc = "%s ~ %s (%s)" % (pi.word_text(), image.word_text(), label)
             if base == other:
                 report.checks.append(desc)

@@ -263,13 +263,20 @@ class TestErrorsAndCaps:
         ["sequence", "-p", "1^11^2", "-k", "0"],
         ["count", "-p", "1^11^2", "-n", "3", "--jobs", "0"],
         ["classify", "--jobs", "-3"],
-        ["verify", "--tables", "--jobs", "0"],
+        ["sequence", "-p", "1^11^2", "--nmax", "3", "--jobs", "0"],
     ])
     def test_nonpositive_colors_and_jobs(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "must be at least 1" in err
+
+    def test_verify_has_no_jobs(self, capsys):
+        # verify never runs the naive oracle, the only count that --jobs splits
+        code, out, err = run(capsys, "verify", "--tables", "--jobs", "2")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --jobs" in err
 
     def test_nmax_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PPL_NMAX_CAP", "5")
