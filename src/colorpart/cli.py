@@ -122,6 +122,9 @@ def cmd_sequence(args, out) -> int:
 
 
 def cmd_classify(args, out) -> int:
+    if args.colors < 2:
+        raise PartitionError("classify needs -k 2 or more: the Pi_2 wr C_2 "
+                             "patterns it classifies use two colors")
     _check_cap(args.nmax)
     if not 1 <= args.size <= 6:
         raise PartitionError("subset size must be between 1 and 6")

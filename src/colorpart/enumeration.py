@@ -8,9 +8,11 @@ holds and where they bar the next element (`_count_residual`).  Every
 set's avoiders are generated by one left-to-right walk over the colored
 words that rejects an element as soon as a copy ends at it: a length-2
 copy by the `avoidance.pair_tables` of the set, a copy of any other
-length by `avoidance.copy_ends_at`.  Full enumeration over
-`iter_colored` serves only as the oracle (`naive=True`), the one search
-split by word prefix across `jobs` processes.
+length by `avoidance.copy_ends_at`.  Full enumeration serves only as the
+oracle (`naive=True`), the one search split by word prefix across `jobs`
+processes: it tests every raw colored word in the pair sweep it shares
+with `containment_profiles`.  `iter_colored` yields the same elements,
+in the same order, as `ColoredPartition` objects.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .avoidance import Sense, avoids_all, copy_ends_at, others_mask, pair_tables
+from .avoidance import Sense, copy_ends_at, others_mask, pair_tables
 from .core import ColoredPartition, ColoredPattern, is_rgs, print_pattern_set
 
 PREFIX_SPLIT_LENGTH = 4
@@ -288,9 +290,58 @@ def _walk(n, k, patterns, sense):
     yield from walk(0, 0)
 
 
+def _pair_sweep(n, k, hits, prefix=()):
+    """Every element of Pi_n wr C_k whose word starts with `prefix`, as
+    (word, colors, mask), word-major with colors varying fastest.
+
+    hits[side][cj][ci] is the mask an earlier element of color ci adds
+    with a later one of color cj in the same block (side 0) or in
+    another (side 1); `mask` is the union over all pairs.  The scan of
+    an element stops once its mask holds every bit of `hits`.
+    """
+    full = functools.reduce(int.__or__, (m for side in hits for row in side for m in row), 0)
+    same_hits, diff_hits = hits
+    scan = range(1, n) if full else ()
+    for word in iter_rgs(n, prefix):
+        same = [[i for i in range(j) if word[i] == word[j]] for j in range(n)]
+        diff = [[i for i in range(j) if word[i] != word[j]] for j in range(n)]
+        for colors in itertools.product(range(1, k + 1), repeat=n):
+            mask = 0
+            for j in scan:
+                same_hit, diff_hit = same_hits[colors[j]], diff_hits[colors[j]]
+                for i in same[j]:
+                    mask |= same_hit[colors[i]]
+                for i in diff[j]:
+                    mask |= diff_hit[colors[i]]
+                if mask == full:
+                    break
+            yield word, colors, mask
+
+
 def _count_naive(n, k, patterns, sense, prefix=()):
-    """Full-enumeration oracle: test every colored partition."""
-    return sum(1 for s in iter_colored(n, k, prefix) if avoids_all(s, patterns, sense))
+    """Full-enumeration oracle: the avoiders among every element of
+    Pi_n wr C_k whose word starts with `prefix`.
+
+    Each element is tested on its own: a length-2 copy by a scan of its
+    pairs, read from every pattern's own `pair_tables((pi,), ...)` and
+    never from the set's merged tables the DP reads, so a fault in the
+    merge shows as a mismatch; a copy of any other length by
+    `copy_ends_at` at every element, only when no pair is a copy.
+    """
+    if any(pi.n == 0 for pi in patterns):
+        return 0  # every partition contains the empty pattern
+    tables = [pair_tables((pi,), sense, k) for pi in patterns if pi.n == 2]
+    other_lengths = [pi for pi in patterns if pi.n != 2]
+    # 1 where some pattern's own table forbids an earlier color ci before a
+    # later cj, so that an element's scan stops at its first copy
+    hits = [[[int(any(t[side][cj] >> ci & 1 for t in tables)) for ci in range(k + 1)]
+             for cj in range(k + 1)] for side in (0, 1)]
+    count = 0
+    for word, colors, mask in _pair_sweep(n, k, hits, prefix):
+        if not mask and not any(copy_ends_at(word, colors, t, pi, sense)
+                                for pi in other_lengths for t in range(n)):
+            count += 1
+    return count
 
 
 def _counts(n, k, patterns, sense):
@@ -324,15 +375,21 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
     return _count_naive(n, k, patterns, sense)
 
 
-def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
-                  sense: Sense = Sense.PATTERN) -> Iterator[ColoredPartition]:
-    """Generate the avoiders, in the walk's order."""
+def _avoider_words(n, k, patterns, sense):
+    """The avoiders as (word, colors) tuples, in the walk's order."""
     # one tuple per word, shared by its avoiders as iter_colored shares it,
     # keeps large avoider sets small
     words: dict[tuple[int, ...], tuple[int, ...]] = {}
     for word, colors in _walk(n, k, tuple(patterns), sense):
         w = tuple(word)
-        yield ColoredPartition(words.setdefault(w, w), tuple(colors), k)
+        yield words.setdefault(w, w), tuple(colors)
+
+
+def iter_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
+                  sense: Sense = Sense.PATTERN) -> Iterator[ColoredPartition]:
+    """Generate the avoiders, in the walk's order."""
+    for word, colors in _avoider_words(n, k, patterns, sense):
+        yield ColoredPartition(word, colors, k)
 
 
 def avoider_set(n: int, k: int, patterns: Sequence[ColoredPattern],
@@ -420,11 +477,10 @@ def containment_profiles(n: int, k: int = 2) -> dict[int, int]:
 
     Bit i of a mask is set when the partition contains the i-th
     canonical 2-pattern (order of `canonical_pair_patterns`).  One full
-    naive sweep answers every subset-avoidance count at once:
-    |Pi_n wr C_k(S)| = sum of histogram values over masks disjoint from
-    S's mask.
+    sweep, the pair scan of the `naive=True` oracle, answers every
+    subset-avoidance count at once: |Pi_n wr C_k(S)| = sum of histogram
+    values over masks disjoint from S's mask.
     """
-    full = (1 << 6) - 1
     six = [pair_tables((pi,), Sense.PATTERN, k) for pi in canonical_pair_patterns(k)]
     # hits[side][cj][ci]: the canonical patterns that an earlier element of
     # color ci completes with a later one of color cj, read from same_bad
@@ -432,20 +488,8 @@ def containment_profiles(n: int, k: int = 2) -> dict[int, int]:
     hits = [[[sum(1 << b for b, tables in enumerate(six) if tables[side][cj] >> ci & 1)
               for ci in range(k + 1)] for cj in range(k + 1)] for side in (0, 1)]
     hist: dict[int, int] = {}
-    for word in iter_rgs(n):
-        same = [[i for i in range(j) if word[i] == word[j]] for j in range(n)]
-        diff = [[i for i in range(j) if word[i] != word[j]] for j in range(n)]
-        for cols in itertools.product(range(1, k + 1), repeat=n):
-            mask = 0
-            for j in range(1, n):
-                same_hit, diff_hit = hits[0][cols[j]], hits[1][cols[j]]
-                for i in same[j]:
-                    mask |= same_hit[cols[i]]
-                for i in diff[j]:
-                    mask |= diff_hit[cols[i]]
-                if mask == full:
-                    break
-            hist[mask] = hist.get(mask, 0) + 1
+    for _, _, mask in _pair_sweep(n, k, hits):
+        hist[mask] = hist.get(mask, 0) + 1
     return hist
 
 
@@ -510,13 +554,13 @@ def verify_eq_pattern_identities(n_max: int = 6) -> VerificationReport:
         pat = parse_pattern_set(pat_text)
         eq = parse_pattern_set(eq_text)
         for n in range(1, n_max + 1):
-            left = avoider_set(n, 2, pat, Sense.PATTERN)
-            right = avoider_set(n, 2, eq, Sense.EQ)
+            left = set(_avoider_words(n, 2, pat, Sense.PATTERN))
+            right = set(_avoider_words(n, 2, eq, Sense.EQ))
             desc = "pat{%s} = eq{%s} at n=%d" % (pat_text, eq_text, n)
             if left == right:
                 report.checks.append(desc)
             else:
-                witness = next(iter(left.symmetric_difference(right)))
+                witness = ColoredPartition(*min(left ^ right), 2)
                 report.failures.append("%s: witness %s" % (desc, witness.word_text()))
     return report
 

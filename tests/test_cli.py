@@ -120,8 +120,23 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    def test_one_color_rejected(self, capsys):
+        code, out, err = run(capsys, "classify", "--size", "1", "--nmax", "3", "-k", "1")
+        assert code == 2
+        assert out == ""
+        assert "-k" in err and "two colors" in err
+        assert "out of range" not in err
+
 
 class TestVerify:
+    def test_planted_identity_prints_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "EQ_PATTERN_IDENTITIES",
+                            (("1^11^1", "1^11^2"),))
+        code, out, _ = run(capsys, "verify", "--identities", "--nmax", "2")
+        assert code == 1
+        assert out == ("FAIL pattern/EQ set identities (1 checks)\n"
+                       "  pat{1^11^1} = eq{1^11^2} at n=2: witness 1^11^1\n")
+
     def test_all_small(self, capsys):
         code, out, _ = run(capsys, "verify", "--all", "--nmax", "4")
         assert code == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from colorpart import enumeration
-from colorpart.avoidance import Sense, contains_colored
+from colorpart.avoidance import Sense, avoids_all, contains_colored
 from colorpart.core import (
     ColoredPattern,
     canonize_sub,
@@ -398,7 +398,72 @@ class TestSequencesAndClasses:
             avoidance_sequence(parse_pattern_set("1^11^2"), n_max=0)
 
 
+def enumerated_count(n, k, patterns, sense, prefix=()):
+    """The oracle's definition: test every ColoredPartition of iter_colored."""
+    return sum(1 for s in iter_colored(n, k, prefix) if avoids_all(s, patterns, sense))
+
+
+class TestNaiveOracle:
+    """`_count_naive` over raw words against its definition over partitions."""
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_all_subsets_of_canonical_six(self, sense):
+        six = canonical_pair_patterns()
+        for smask in range(64):
+            S = tuple(pi for i, pi in enumerate(six) if smask >> i & 1)
+            for n in range(0, 6):
+                assert enumeration._count_naive(n, 2, S, sense) == \
+                    enumerated_count(n, 2, S, sense), (S, n)
+
+    def test_mixed_length_three_color_sets(self):
+        by_length = {m: [ColoredPattern(w, c, 3) for w in iter_rgs(m)
+                         for c in itertools.product((1, 2, 3), repeat=m)]
+                     for m in (1, 2, 3)}
+        rng = random.Random(14)
+        sets = []
+        for _ in range(60):
+            lengths = [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 3))]
+            sets.append((tuple(rng.choice(by_length[m]) for m in lengths),
+                         rng.choice(list(Sense))))
+        assert {pi.n for S, _ in sets for pi in S} == {1, 2, 3}
+        assert sum(len({pi.n for pi in S}) > 1 for S, _ in sets) >= 20
+        for S, sense in sets:
+            for n in range(0, 5):
+                assert enumeration._count_naive(n, 3, S, sense) == \
+                    enumerated_count(n, 3, S, sense), (S, sense, n)
+
+    def test_empty_pattern_and_size_zero(self):
+        empty = ColoredPattern((), (), 2)
+        for S in ((empty,), (empty, parse_pattern("1^12^1"))):
+            for sense in Sense:
+                for n in range(0, 5):
+                    assert enumeration._count_naive(n, 2, S, sense) == 0
+                    assert enumerated_count(n, 2, S, sense) == 0
+        for sense in Sense:
+            assert enumeration._count_naive(0, 2, (), sense) == 1
+            assert enumeration._count_naive(0, 2, parse_pattern_set("1^11^2"), sense) == 1
+
+    def test_prefixes_partition_the_count(self):
+        for text in ("1^11^2,1^22^1", "1^12^11^2,1^2", "1^21^1,1^12^21^1"):
+            S = parse_pattern_set(text)
+            for sense in Sense:
+                whole = enumeration._count_naive(6, 2, S, sense)
+                assert whole == sum(enumeration._count_naive(6, 2, S, sense, prefix)
+                                    for prefix in iter_rgs(4)), (text, sense)
+                assert whole == count_avoiders(6, 2, S, sense), (text, sense)
+
+
 class TestProfiles:
+    @pytest.mark.parametrize("k, nmax", [(2, 6), (3, 4)])
+    def test_profiles_equal_brute_histogram(self, k, nmax):
+        six = canonical_pair_patterns(k)
+        for n in range(0, nmax + 1):
+            brute = {}
+            for sigma in iter_colored(n, k):
+                mask = sum(1 << i for i, pi in enumerate(six) if contains_colored(sigma, pi))
+                brute[mask] = brute.get(mask, 0) + 1
+            assert containment_profiles(n, k) == brute, (k, n)
+
     def test_profile_counts_match_direct(self):
         for n in range(1, 7):
             hist = containment_profiles(n)
@@ -433,6 +498,18 @@ class TestVerificationReports:
         # pattern-sense avoiders of 1^11^1 for n <= 6
         seq = avoidance_sequence(parse_pattern_set("1^11^1"), n_max=6)
         assert seq.counts == (2, 6, 20, 76, 312, 1384)
+
+    def test_planted_false_identity_fails_with_witness(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "EQ_PATTERN_IDENTITIES",
+                            (("1^11^1", "1^11^1,1^21^2"), ("1^11^1", "1^11^2")))
+        report = verify_eq_pattern_identities(n_max=3)
+        assert not report.ok
+        # the true identity at n = 1..3 and the planted one at n = 1, where
+        # every element avoids both sides
+        assert len(report.checks) == 4
+        assert report.failures[0] == \
+            "pat{1^11^1} = eq{1^11^2} at n=2: witness 1^11^1"
+        assert len(report.failures) == 2
 
     def test_identities_are_set_equalities(self):
         left = avoider_set(4, 2, parse_pattern_set("1^12^1"), Sense.PATTERN)
