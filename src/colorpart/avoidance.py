@@ -196,25 +196,41 @@ def contains_vincular(q: Permutation, p: VincularPattern) -> bool:
     return p.m == 0 or any(vincular_ends_at(q.entries, t, p) for t in range(p.m - 1, q.n))
 
 
+def _vincular_walk(m, patterns, ascent_led=False):
+    """Left-to-right walk over the permutations of [m] avoiding `patterns`.
+
+    Yields every avoider as the list the walk goes on to overwrite.  A
+    prefix is dropped as soon as a copy ends at its last entry; with
+    `ascent_led`, also as soon as its second entry lies below its first,
+    so only avoiders that begin with an ascent are reached.
+    """
+    if any(p.m == 0 for p in patterns) or ascent_led and m < 2:
+        # every permutation contains the empty pattern; none of [0] or [1]
+        # begins with an ascent
+        return
+    q = [0] * m
+
+    def walk(t, rest):
+        if not rest:
+            yield q
+        for v in rest:
+            if ascent_led and t == 1 and v < q[0]:
+                continue
+            q[t] = v
+            if not any(vincular_ends_at(q, t, p) for p in patterns):
+                yield from walk(t + 1, rest - {v})
+
+    yield from walk(0, frozenset(range(1, m + 1)))
+
+
 def iter_vincular_avoiders(m: int, patterns: Sequence[VincularPattern]
                            ) -> Iterator[Permutation]:
     """The permutations of [m] avoiding every pattern, by a pruned walk.
 
     A prefix is dropped as soon as a copy ends at its last entry.
     """
-    if any(p.m == 0 for p in patterns):
-        return  # every permutation contains the empty pattern
-    q = [0] * m
-
-    def walk(t, rest):
-        if not rest:
-            yield Permutation(q)
-        for v in rest:
-            q[t] = v
-            if not any(vincular_ends_at(q, t, p) for p in patterns):
-                yield from walk(t + 1, rest - {v})
-
-    yield from walk(0, frozenset(range(1, m + 1)))
+    for q in _vincular_walk(m, patterns):
+        yield Permutation(q)
 
 
 def begins_with_ascent(q: Permutation) -> bool:

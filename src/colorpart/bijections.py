@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .avoidance import (
-    Sense,
-    begins_with_ascent,
-    contains_colored,
-    contains_vincular,
-    iter_vincular_avoiders,
-)
+from .avoidance import Sense, _vincular_walk, contains_colored, contains_vincular
 from .core import (
     ColoredPartition,
     ColoredPattern,
@@ -29,7 +23,7 @@ from .core import (
     parse_vincular,
     reduce_word,
 )
-from .enumeration import avoider_set, iter_avoiders, iter_rgs
+from .enumeration import _avoider_words, iter_avoiders, iter_rgs
 
 PAT_12_3 = parse_vincular("12-3")
 PAT_214_3 = parse_vincular("214-3")
@@ -317,55 +311,58 @@ class BijectionReport:
 def verify_bijection(name: str, n: int) -> BijectionReport:
     """Exhaustively check one named bijection at size n.
 
-    Applies the map to the whole enumerated domain, confirms every image
-    lies in the exhaustively enumerated codomain, confirms injectivity,
-    round-trips through the inverse when one exists, and compares the
-    image's size with the codomain's.
+    Applies the map to each element of the enumerated domain as it is
+    generated, confirms every image lies in the exhaustively enumerated
+    codomain, confirms injectivity, round-trips through the inverse when
+    one exists, and compares the image's size with the codomain's.  The
+    codomain is held as plain tuples, permutation entries or (word,
+    colors), never as objects; the g codomain walk drops every prefix
+    that begins with a descent instead of filtering afterwards.
     """
     report = BijectionReport(name, n)
     seen = {}
 
     if name == "f":
-        domain = list(iter_avoiders(n, 2, F_DOMAIN))
-        codomain = set(iter_vincular_avoiders(n + 1, (PAT_12_3, PAT_214_3)))
+        domain = iter_avoiders(n, 2, F_DOMAIN)
+        codomain = set(map(tuple, _vincular_walk(n + 1, (PAT_12_3, PAT_214_3))))
         forward, backward = bij_f, bij_f_inv
     elif name == "tau":
-        domain = [ColoredPartition(w, (1,) * n, 2) for w in iter_rgs(n)]
-        codomain = set(iter_vincular_avoiders(n, (PAT_1_23,)))
+        domain = (ColoredPartition(w, (1,) * n, 2) for w in iter_rgs(n))
+        codomain = set(map(tuple, _vincular_walk(n, (PAT_1_23,))))
         forward = lambda s: block_descent_tau(s.word)
         backward = None
     elif name == "g":
-        domain = list(iter_avoiders(n, 2, G_DOMAIN))
-        codomain = {q for q in iter_vincular_avoiders(n + 2, (PAT_12_3,))
-                    if begins_with_ascent(q)}
+        domain = iter_avoiders(n, 2, G_DOMAIN)
+        codomain = set(map(tuple, _vincular_walk(n + 2, (PAT_12_3,), ascent_led=True)))
         forward, backward = bij_g, None
     elif name == "class2":
-        domain = list(iter_avoiders(n, 2, CLASS2_DOMAIN))
-        codomain = avoider_set(n, 2, CLASS2_CODOMAIN)
+        domain = iter_avoiders(n, 2, CLASS2_DOMAIN)
+        codomain = set(_avoider_words(n, 2, CLASS2_CODOMAIN, Sense.PATTERN))
         forward, backward = bij_class2_pairs, bij_class2_pairs_inv
     elif name == "class3a":
-        domain = list(iter_avoiders(n, 2, CLASS3A_DOMAIN))
-        codomain = avoider_set(n, 2, CLASS3A_CODOMAIN)
+        domain = iter_avoiders(n, 2, CLASS3A_DOMAIN)
+        codomain = set(_avoider_words(n, 2, CLASS3A_CODOMAIN, Sense.PATTERN))
         forward, backward = bij_class3_structural, bij_class3_structural_inv
     elif name == "class3b":
-        domain = list(iter_avoiders(n, 2, CLASS3B_DOMAIN))
-        codomain = avoider_set(n, 2, CLASS3B_CODOMAIN)
+        domain = iter_avoiders(n, 2, CLASS3B_DOMAIN)
+        codomain = set(_avoider_words(n, 2, CLASS3B_CODOMAIN, Sense.PATTERN))
         forward, backward = bij_class3_colorswap, bij_class3_colorswap_inv
     else:
         raise ValueError("unknown bijection %r" % name)
 
-    report.domain_size = len(domain)
     for sigma in domain:
+        report.domain_size += 1
         image = forward(sigma)
-        if image not in codomain:
+        key = image.entries if isinstance(image, Permutation) else (image.word, image.colors)
+        if key not in codomain:
             report.membership_failures.append(
                 "%s -> %s not in codomain" % (_show(sigma), _show(image)))
             continue
-        if image in seen:
+        if key in seen:
             report.membership_failures.append(
-                "%s and %s collide at %s" % (_show(seen[image]), _show(sigma), _show(image)))
+                "%s and %s collide at %s" % (_show(seen[key]), _show(sigma), _show(image)))
             continue
-        seen[image] = sigma
+        seen[key] = sigma
         if backward is not None:
             back = backward(image)
             if back != sigma:

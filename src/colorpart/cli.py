@@ -285,45 +285,46 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="colorpart",
-        description="Count and classify colored set partitions avoiding "
-                    "colored partition patterns.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_common(p, nmax=False):
+    p.add_argument("-p", "--patterns", default="",
+                   help="comma-separated pattern set, e.g. 1^11^2,1^21^1")
+    p.add_argument("-k", "--colors", type=positive_int, default=2)
+    p.add_argument("--sense", type=Sense, choices=list(Sense),
+                   default=Sense.PATTERN)
+    p.add_argument("--format", choices=["table", "json", "csv"],
+                   default="table")
+    p.add_argument("--jobs", type=positive_int, default=1)
+    p.add_argument("--naive", action="store_true",
+                   help="force full enumeration (oracle mode)")
+    if nmax:
+        p.add_argument("--nmax", type=int, default=6)
+    else:
+        p.add_argument("-n", type=int, required=True)
 
-    def common(p, nmax=False):
-        p.add_argument("-p", "--patterns", default="",
-                       help="comma-separated pattern set, e.g. 1^11^2,1^21^1")
-        p.add_argument("-k", "--colors", type=positive_int, default=2)
-        p.add_argument("--sense", type=Sense, choices=list(Sense),
-                       default=Sense.PATTERN)
-        p.add_argument("--format", choices=["table", "json", "csv"],
-                       default="table")
-        p.add_argument("--jobs", type=positive_int, default=1)
-        p.add_argument("--naive", action="store_true",
-                       help="force full enumeration (oracle mode)")
-        if nmax:
-            p.add_argument("--nmax", type=int, default=6)
-        else:
-            p.add_argument("-n", type=int, required=True)
 
+def _add_count(sub):
     p_count = sub.add_parser("count", help="count avoiders at a single n")
-    common(p_count)
+    _add_common(p_count)
     p_count.set_defaults(func=cmd_count)
 
+
+def _add_sequence(sub):
     p_seq = sub.add_parser("sequence", help="avoidance sequence for n = 1..nmax")
-    common(p_seq, nmax=True)
+    _add_common(p_seq, nmax=True)
     p_seq.set_defaults(func=cmd_sequence)
 
+
+def _add_classify(sub):
     p_cls = sub.add_parser("classify",
                            help="empirical Wilf classes over all pattern "
                                 "subsets of a given size")
-    common(p_cls, nmax=True)
+    _add_common(p_cls, nmax=True)
     p_cls.add_argument("--size", type=int, default=2,
                        help="pattern subset size (1..6)")
     p_cls.set_defaults(func=cmd_classify)
 
+
+def _add_verify(sub):
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--all", action="store_true")
     p_ver.add_argument("--tables", action="store_true")
@@ -336,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--nmax", type=positive_int, default=6)
     p_ver.set_defaults(func=cmd_verify)
 
+
+def _add_bijection(sub):
     p_bij = sub.add_parser("bijection", help="apply a bijection to one object")
     p_bij.add_argument("name", choices=list(_bijection_maps()))
     p_bij.add_argument("input",
@@ -344,11 +347,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--format", choices=["table", "json"], default="table")
     p_bij.set_defaults(func=cmd_bijection)
 
+
+# each subcommand with the function that adds its parser, in help order
+_SUBPARSERS = {"count": _add_count, "sequence": _add_sequence,
+               "classify": _add_classify, "verify": _add_verify,
+               "bijection": _add_bijection}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's argument parser.
+
+    Given the name of a subcommand, only that subcommand's parser is
+    built: building all of them costs a small request more than its own
+    work.  Anything else, or nothing, builds the full parser.  Help,
+    usage and error text read the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="colorpart",
+        description="Count and classify colored set partitions avoiding "
+                    "colored partition patterns.")
+    if command in _SUBPARSERS:
+        # the usage line of an unrecognized-arguments error still lists
+        # every subcommand
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{%s}" % ",".join(_SUBPARSERS))
+        _SUBPARSERS[command](sub)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBPARSERS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -4,6 +4,7 @@ import pytest
 
 from colorpart.avoidance import (
     Sense,
+    _vincular_walk,
     avoids_all,
     begins_with_ascent,
     contains_colored,
@@ -222,6 +223,13 @@ class TestVincularAgainstOracle:
                 walked = {q for q in walked if begins_with_ascent(q)}
                 filtered = {q for q in filtered if begins_with_ascent(q)}
             assert walked == filtered, m
+
+    def test_ascent_led_walk_prunes_to_the_filter(self):
+        for m in range(10):
+            pruned = [tuple(q) for q in _vincular_walk(m, (P12_3,), ascent_led=True)]
+            assert len(pruned) == len(set(pruned)), m
+            assert set(pruned) == {q.entries for q in iter_vincular_avoiders(m, (P12_3,))
+                                   if begins_with_ascent(q)}, m
 
     def test_walk_small_hosts(self):
         assert list(iter_vincular_avoiders(0, (P12_3,))) == [Permutation(())]

@@ -1,5 +1,6 @@
 import pytest
 
+from colorpart import bijections
 from colorpart.avoidance import (
     Sense,
     avoids_all,
@@ -31,7 +32,8 @@ from colorpart.bijections import (
     block_descent_tau,
     verify_bijection,
 )
-from colorpart.core import ColoredPartition, parse_blocks, parse_permutation
+from colorpart.cli import main
+from colorpart.core import ColoredPartition, Permutation, parse_blocks, parse_permutation
 from colorpart.enumeration import iter_avoiders
 from colorpart.formulas import bell, pair4_sequence
 
@@ -163,3 +165,51 @@ class TestVerifyReports:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             verify_bijection("nope", 3)
+
+
+class TestVerifyFailures:
+    """A planted fault in a map, an inverse or a codomain makes verify fail."""
+
+    def fails(self, capsys, name, n):
+        report = verify_bijection(name, n)
+        assert not report.ok
+        assert main(["verify", "--bijection", name, "-n", str(n)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL bijection %s at n=%d (domain %d)\n"
+                              % (name, n, report.domain_size))
+        return report, out
+
+    def test_image_outside_codomain(self, capsys, monkeypatch):
+        monkeypatch.setattr(bijections, "bij_class3_colorswap", lambda sigma: sigma)
+        report, out = self.fails(capsys, "class3b", 3)
+        assert "  1^22^13^1 -> 1^22^13^1 not in codomain\n" in out
+        assert report.image_size < report.domain_size
+
+    def test_colliding_images(self, capsys, monkeypatch):
+        # every set partition goes to n...1, which avoids 1-23
+        monkeypatch.setattr(bijections, "block_descent_tau",
+                            lambda word: Permutation(tuple(range(len(word), 0, -1))))
+        report, out = self.fails(capsys, "tau", 4)
+        assert report.image_size == 1
+        assert len(report.membership_failures) == report.domain_size - 1 == 14
+        assert all(f.endswith(" collide at 4321") for f in report.membership_failures)
+        assert "  1^12^13^14^1 and 1^12^13^1/4^1 collide at 4321\n" in out
+
+    def test_broken_inverse(self, capsys, monkeypatch):
+        monkeypatch.setattr(bijections, "bij_class2_pairs_inv", lambda sigma: sigma)
+        report, out = self.fails(capsys, "class2", 3)
+        assert report.image_size == report.domain_size == report.codomain_size
+        assert not report.membership_failures
+        assert report.round_trip_failures[0] in out
+
+    def test_g_codomain_pruned_one_entry_too_far(self, capsys, monkeypatch):
+        walk = bijections._vincular_walk
+
+        def late(m, patterns, ascent_led=False):
+            # the ascent test moved from entries 1, 2 to entries 2, 3
+            return (q for q in walk(m, patterns) if not ascent_led or q[1] < q[2])
+
+        monkeypatch.setattr(bijections, "_vincular_walk", late)
+        report, out = self.fails(capsys, "g", 3)
+        assert report.codomain_size != report.domain_size
+        assert " not in codomain\n" in out

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from colorpart import cli, enumeration
-from colorpart.cli import main
+from colorpart.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -260,6 +260,27 @@ class TestBijectionCommand:
         code, _, err = run(capsys, "bijection", "f", "1^12^1")
         assert code == 2
         assert "error" in err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        [cmd, "--help"] for cmd in ("count", "sequence", "classify", "verify", "bijection")
+    ] + [
+        ["count"], ["count", "-n", "x"], ["count", "-n", "3", "extra"],
+        ["sequence", "--nmax", "4", "-k", "0"], ["classify", "--size", "2"],
+        ["verify", "--all"], ["verify", "--bijection", "nope"], ["verify", "extra"],
+        ["bijection", "f"], ["bijection", "nope", "1"], ["bijection", "f", "1^1", "x"],
+    ])
+    def test_one_subparser_parses_as_all(self, capsys, argv):
+        def outcome(parser):
+            try:
+                parsed = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                parsed = exc.code
+            captured = capsys.readouterr()
+            return parsed, captured.out, captured.err
+
+        assert outcome(build_parser(argv[0])) == outcome(build_parser())
 
 
 class TestErrorsAndCaps:

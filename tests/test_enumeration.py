@@ -1,12 +1,14 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from colorpart import enumeration
 from colorpart.avoidance import Sense, avoids_all, contains_colored
 from colorpart.core import (
+    ColoredPartition,
     ColoredPattern,
     canonize_sub,
     color_complement,
@@ -510,6 +512,41 @@ class TestVerificationReports:
         assert report.failures[0] == \
             "pat{1^11^1} = eq{1^11^2} at n=2: witness 1^11^1"
         assert len(report.failures) == 2
+
+    def test_lockstep_agrees_with_set_comparison(self, monkeypatch):
+        # every pattern side against every EQ side: the four identities and
+        # twelve pairs whose avoider sets differ at some n; and a pair where
+        # one side's avoiders at n = 2 are the other's but the last
+        sides = enumeration.EQ_PATTERN_IDENTITIES
+        pairs = tuple((pat, eq) for pat, _ in sides for _, eq in sides) + (("", "1^22^2"),)
+        monkeypatch.setattr(enumeration, "EQ_PATTERN_IDENTITIES", pairs)
+        report = verify_eq_pattern_identities(n_max=7)
+        failures = iter(report.failures)
+        for pat, eq in pairs:
+            for n in range(1, 8):
+                left = {(s.word, s.colors) for s in
+                        avoider_set(n, 2, parse_pattern_set(pat), Sense.PATTERN)}
+                right = {(s.word, s.colors) for s in
+                         avoider_set(n, 2, parse_pattern_set(eq), Sense.EQ)}
+                desc = "pat{%s} = eq{%s} at n=%d" % (pat, eq, n)
+                if left == right:
+                    assert desc in report.checks
+                else:
+                    witness = ColoredPartition(*min(left ^ right), 2).word_text()
+                    assert next(failures) == "%s: witness %s" % (desc, witness)
+        assert len(report.checks) > 4 * 7
+        assert next(failures, None) is None
+
+    def test_identities_hold_no_avoider_sets(self):
+        # the two avoider sets per identity and n came to a 2.47 MB peak
+        tracemalloc.start()
+        try:
+            report = verify_eq_pattern_identities(n_max=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 500_000, peak
 
     def test_identities_are_set_equalities(self):
         left = avoider_set(4, 2, parse_pattern_set("1^12^1"), Sense.PATTERN)
