@@ -170,6 +170,10 @@ def _verify_formulas(n_max, out) -> bool:
     ok = True
     for entry in REGISTRY:
         for patterns in entry.pattern_sets:
+            if n_max < entry.min_n:
+                out.write("SKIP %s {%s}: stated for n >= %d\n"
+                          % (entry.label, print_pattern_set(patterns), entry.min_n))
+                continue
             counts = avoidance_sequence(patterns, Sense.PATTERN, 2, n_max).counts
             good = all(closed_form(entry, n) == counts[n - 1]
                        for n in range(entry.min_n, n_max + 1))

@@ -1,10 +1,11 @@
 """Exhaustive generation and avoidance counting.
 
-Counting runs a forward transfer DP, in this process, that yields every
-count up to n in one pass.  When every forbidden pattern has length 2
-its states are multisets of block color masks (`_count_dp`); for every
-other set they are prefix residuals: the partial copies a prefix still
-holds and where they bar the next element (`_count_residual`).  Every
+Counting runs one forward transfer DP in this process, `_count_residual`,
+which yields every count up to n in one pass.  Its states are prefix
+residuals: a color mask per block and one mask `only` that say where each
+color is still allowed, the blocks no partial copy names kept as a sorted
+tuple of masks, and the partial copies of the patterns longer than 2.
+Length-2 patterns edit the masks as `avoidance.pair_tables` says.  Every
 set's avoiders are generated by one left-to-right walk over the colored
 words that rejects an element as soon as a copy ends at it: a length-2
 copy by the `avoidance.pair_tables` of the set, a copy of any other
@@ -20,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -70,60 +70,38 @@ def iter_colored(n: int, k: int = 2,
 
 # --- counting ------------------------------------------------------------
 
-def _count_dp(n, k, tables):
-    """Avoider counts [a(0), ..., a(n)] by a transfer DP over the block color masks.
-
-    Whether a new element completes a length-2 copy depends only on its
-    color, its own block's color mask and the union of the other blocks'
-    masks, so the sorted tuple of block masks is a complete state.  Its
-    weight is the number of colored partial partitions that reach it.
-    """
-    same_bad, diff_bad = tables
-    states = {(): 1}
-    counts = [1]
-    for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, weight in states.items():
-            holders = [sum(m >> c & 1 for m in state) for c in range(k + 1)]
-            # each existing block, weighted by how many share its mask,
-            # then a new block
-            for own, mult in itertools.chain(Counter(state).items(), ((0, 1),)):
-                others = others_mask(own, holders)
-                rest = list(state)
-                if own:
-                    rest.remove(own)
-                for c in range(1, k + 1):
-                    if own & same_bad[c] or others & diff_bad[c]:
-                        continue
-                    key = tuple(sorted(rest + [own | 1 << c]))
-                    nxt[key] = nxt.get(key, 0) + weight * mult
-        states = nxt
-        counts.append(sum(states.values()))
-    return counts
-
-
 def _count_residual(n, k, patterns, sense):
     """Avoider counts [a(0), ..., a(n)] by a forward DP over prefix residuals.
 
     A prefix matters to its extensions only through the copies they can
     still complete (the transfer-matrix method, Stanley, EC1 4.7, with
-    states as in Zeilberger's enumeration schemes).  A state holds:
+    states as in Zeilberger's enumeration schemes).  Each block has a
+    color mask, read against the state's bitmask `only`: color c is
+    barred from the blocks whose mask has bit c while bit c of `only` is
+    clear, and allowed only in those blocks once it is set.  A state holds:
 
-    * `free`, the number of nonempty blocks nothing below refers to; a
-      next element joins one as it would open a new block;
-    * the partial copies two or more elements short, as (pattern, length,
-      host blocks of the pattern's blocks, colors), colors kept only in
-      the pattern sense and only while the copy can still be completed;
-    * per color c, where a next element of color c completes a copy one
-      element short: F[c-1] is (False, blocks) when it is barred from
-      `blocks` only, or (True, blocks) when it is allowed in `blocks`
-      only, so that a copy whose last element opens a block bars every
-      other block, later ones included.
+    * `free`, the number of nonempty blocks with mask 0 that no copy
+      names; a next element joins one as it would open a new block;
+    * the masks of the other blocks no copy names, as a sorted tuple: a
+      move branches once per distinct mask, weighted by how many have it;
+    * the masks of the blocks the partial copies name, labelled 0, 1, ...;
+    * the partial copies of the patterns longer than 2 that are two or
+      more elements short, as (pattern, length, host labels of the
+      pattern's blocks, colors), colors kept only in the pattern sense
+      and only while the copy can still be completed;
+    * `only`.
 
-    Blocks are relabelled in the order of a signature of their roles; any
-    bijective relabelling leaves the count unchanged.  Each state carries
-    the number of colored prefixes that reach it.
+    A move edits masks in two ways: bar colors in one block, or allow
+    them only in some blocks.  Placing color c in block x does both, as
+    the set's `pair_tables` say for its length-2 patterns.  A copy one
+    element short does one of them to the block its last element joins,
+    or to the copy's blocks when that element opens one.  Each edit only
+    shrinks where a color is allowed, so a move's edits commute.  Blocks
+    are relabelled by mask and by a signature of their roles; any
+    bijective relabelling leaves the count unchanged.  Each state
+    carries the number of colored prefixes that reach it.
     """
+    patterns = tuple(patterns)
     if any(pi.n == 0 for pi in patterns):
         return [0] * (n + 1)  # every partition contains the empty pattern
     pats = [(pi.word, pi.colors) for pi in patterns]
@@ -152,37 +130,39 @@ def _count_residual(n, k, patterns, sense):
             memo[key] = mask
         return mask
 
-    # the empty copy of every longer pattern; a length-1 pattern bars its
-    # colors from every block
+    # the colors that color c, once placed, bars in its own block, and
+    # those it allows only there
+    same, other = ([sum(1 << d for d in range(1, k + 1) if bad[d] >> c & 1) for c in range(k + 1)]
+                   for bad in pair_tables(patterns, sense, k))
+    # the empty copy of every pattern longer than 2; a length-1 pattern
+    # allows its colors in no block
     starts = [(p, 0, (), ()) for p, (word, _) in enumerate(pats)
-              if len(word) > 1 and colors_at(p, 0, ())]
-    F0 = tuple((any(len(word) == 1 and colors_at(p, 0, ()) >> c & 1
-                    for p, (word, _) in enumerate(pats)), frozenset())
-               for c in range(1, k + 1))
+              if len(word) > 2 and colors_at(p, 0, ())]
+    only0 = functools.reduce(int.__or__, (colors_at(p, 0, ()) for p, (word, _)
+                                          in enumerate(pats) if len(word) == 1), 0)
 
-    def canon(copies, F):
-        """(referenced blocks, copies, F) with blocks relabelled 0, 1, ... by role."""
+    def canon(rest, masks, copies, only):
+        """(unlabelled masks, labelled masks, copies, only): the blocks no
+        copy names go to the sorted masks, or to `free` when their mask is
+        0, and the others are relabelled 0, 1, ... by mask and role."""
         roles: dict[int, list] = {}
         for p, j, B, C in copies:
             for pos, x in enumerate(B):
                 roles.setdefault(x, []).append((p, j, pos, C))
-        for c, (only, blocks) in enumerate(F):
-            for x in blocks:
-                roles.setdefault(x, []).append((-1, c, only))
-        order = sorted(roles, key=lambda x: sorted(roles[x]))
+        unl = sorted([*rest, *(m for x, m in enumerate(masks) if m and x not in roles)])
+        order = sorted(roles, key=lambda x: (masks[x], sorted(roles[x])))
         label = dict(zip(order, range(len(order)))).__getitem__
-        return (len(order),
-                tuple(sorted((p, j, tuple(map(label, B)), C) for p, j, B, C in copies)),
-                tuple((only, frozenset(map(label, blocks)) if blocks else blocks)
-                      for only, blocks in F))
+        return (tuple(unl), tuple(map(masks.__getitem__, order)),
+                tuple(sorted([(p, j, tuple(map(label, B)), C) for p, j, B, C in copies])),
+                only)
 
-    def moves(r, copies, F):
-        """{(fresh, r2, copies2, F2): ways} over the next element's block and color.
-
-        Blocks 0..r-1 are the referenced ones; block r stands for a free or
-        a new block (`fresh`), which no copy or entry of F names.
-        """
-        joins: dict[int, list] = {}  # block -> copies whose next element joins it
+    def moves(unl, lab, copies, only):
+        """{(gained, state, per_free): ways} over the next element's block and
+        color, `gained` being the change in `free`: with `per_free` the
+        element joins a free block, so the ways count once per free block.
+        Label r = len(lab) stands for a block no copy names."""
+        r = len(lab)
+        joins: dict[int, list] = {}  # label -> copies whose next element joins it
         opens = []                   # copies whose next element opens a block
         for cp in itertools.chain(starts, copies):
             p, j, B, C = cp
@@ -191,15 +171,22 @@ def _count_residual(n, k, patterns, sense):
                 joins.setdefault(B[q - 1], []).append((colors_at(p, j, C), cp))
             else:
                 opens.append((colors_at(p, j, C), cp))
+        # (label, mask, blocks like it, the unlabelled blocks besides it) for
+        # each labelled block, a free or a new block, and each unlabelled mask
+        targets = [(x, m, 1, unl) for x, m in enumerate(lab)] + [(r, 0, 1, unl)]
+        for own, group in itertools.groupby(unl):
+            i = unl.index(own)
+            targets.append((r, own, len(list(group)), unl[:i] + unl[i + 1:]))
         out: dict[tuple, int] = {}
-        for b in range(r + 1):
-            grows = joins.get(b, []) + [(mask, cp) for mask, cp in opens if b not in cp[2]]
+        for b, own, mult, rest in targets:
+            fresh = b == r and not own
+            grows = opens if b == r else \
+                joins.get(b, []) + [(mask, cp) for mask, cp in opens if b not in cp[2]]
             for c in range(1, k + 1):
-                only, blocks = F[c - 1]
-                if (b in blocks) != only:
+                if (own ^ only) >> c & 1:
                     continue  # completes a copy
-                grown = []
-                F2 = None
+                # done: (colors, the copy's blocks or its last element's, restrict)
+                grown, done = [], []
                 for mask, (p, j, B, C) in grows:
                     if not mask >> c & 1:
                         continue
@@ -211,40 +198,52 @@ def _count_residual(n, k, patterns, sense):
                     if j + 2 < len(word):
                         grown.append((p, j + 1, B, C))
                         continue
-                    # one element short: bar its last element's block, or
-                    # every block but the copy's own when it opens one
+                    # one element short: bar its last element's colors in the
+                    # block it joins, or allow them only in the copy's blocks
+                    # when it opens one
                     q, last = word[j + 1], colors_at(p, j + 1, C)
-                    F2 = F2 or list(F)
-                    for d in range(1, k + 1):
-                        if last >> d & 1:
-                            only, blocks = F2[d - 1]
-                            if q <= len(B):
-                                where = B[q - 1]
-                                F2[d - 1] = (only, blocks - {where} if only else blocks | {where})
-                            else:
-                                F2[d - 1] = (True, blocks.intersection(B) if only
-                                             else frozenset(B) - blocks)
-                F2 = F if F2 is None else tuple(F2)
-                key = (b == r,) + (canon(set(copies).union(grown), F2)
-                                   if grown or F2 != F else (r, copies, F))
-                out[key] = out.get(key, 0) + 1
-        return out
+                    done.append((last, B[q - 1], False) if q <= len(B) else (last, B, True))
+                S, D = same[c], other[c]
+                own2 = (own | S) & ~(S & only) ^ D & ~only  # bar S here, allow D only here
+                rest2 = [m & ~D for m in rest if m & ~D] if D else rest
+                if not (grown or done or D and lab) and (b == r or own2 == own):
+                    # the labelled blocks and the copies stay as they are
+                    s2 = (unl if own2 == own and not D else
+                          tuple(sorted([*rest2, own2] if own2 else rest2)), lab, copies, only | D)
+                else:
+                    masks = [m & ~D for m in (lab if b < r else lab + (own,))]
+                    masks[b] = own2
+                    only2 = only | D
+                    for last, where, restrict in done:
+                        if restrict:
+                            masks = [m ^ last & ~only2 if x in where else m & ~last
+                                     for x, m in enumerate(masks)]
+                            rest2 = [m & ~last for m in rest2 if m & ~last]
+                            only2 |= last
+                        else:
+                            masks[where] = (masks[where] | last) & ~(last & only2)
+                    s2 = canon(rest2, masks, set(copies).union(grown), only2)
+                # a fresh block is a new one, or one of the `free` ones
+                gained = len(unl) + r - len(s2[0]) - len(s2[1])
+                for key in ((gained + 1, s2, False), (gained, s2, True)) if fresh else \
+                        ((gained, s2, False),):
+                    out[key] = out.get(key, 0) + mult
+        return tuple(out.items())
 
-    states = {(0, 0, (), F0): 1}  # (free, referenced blocks, copies, F): weight
-    memo_moves: dict[tuple, dict] = {}
+    states = {(0, ((), (), (), only0)): 1}  # (free, (unl, lab, copies, only)): weight
+    memo_moves: dict[tuple, tuple] = {}
     counts = [1]
     for _ in range(n):
         nxt: dict[tuple, int] = {}
-        for (free, r, copies, F), weight in states.items():
-            out = memo_moves.get((copies, F))
+        for (free, state), weight in states.items():
+            out = memo_moves.get(state)
             if out is None:
-                out = memo_moves[copies, F] = moves(r, copies, F)
-            for (fresh, r2, copies2, F2), ways in out.items():
-                # a fresh block is one of the `free` ones or a new one
-                for opened, mult in ((0, ways * free), (1, ways)) if fresh else ((0, ways),):
-                    if mult:
-                        key = (free + opened + r - r2, r2, copies2, F2)
-                        nxt[key] = nxt.get(key, 0) + weight * mult
+                out = memo_moves[state] = moves(*state)
+            for (gained, state2, per_free), ways in out:
+                ways *= free if per_free else 1
+                if ways:
+                    key = (free + gained, state2)
+                    nxt[key] = nxt.get(key, 0) + weight * ways
         states = nxt
         counts.append(sum(states.values()))
     return counts
@@ -344,20 +343,12 @@ def _count_naive(n, k, patterns, sense, prefix=()):
     return count
 
 
-def _counts(n, k, patterns, sense):
-    """[a(0), ..., a(n)] from the DP for the set: by block masks when every
-    pattern has length 2, by prefix residuals otherwise."""
-    if all(pi.n == 2 for pi in patterns):
-        return _count_dp(n, k, pair_tables(patterns, sense, k))
-    return _count_residual(n, k, patterns, sense)
-
-
 def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
                    sense: Sense = Sense.PATTERN, *, naive: bool = False,
                    jobs: int = 1) -> int:
     """|{sigma in Pi_n wr C_k : sigma avoids every pattern}|.
 
-    Counted in this process by a DP (see `_counts`).  `naive=True` runs
+    Counted in this process by a DP (see `_count_residual`).  `naive=True` runs
     the full-enumeration oracle instead, split by word prefix across at
     most `jobs` processes (no more than the CPU count) when n is larger
     than the prefix.
@@ -366,7 +357,7 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
         raise ValueError("n must be nonnegative")
     patterns = tuple(patterns)
     if not naive:
-        return _counts(n, k, patterns, sense)[n]
+        return _count_residual(n, k, patterns, sense)[n]
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and n > PREFIX_SPLIT_LENGTH:
         task = functools.partial(_count_naive, n, k, patterns, sense)
@@ -422,7 +413,7 @@ def avoidance_sequence(patterns: Sequence[ColoredPattern], sense: Sense = Sense.
         counts = tuple(count_avoiders(n, k, patterns, sense, naive=True, jobs=jobs)
                        for n in range(1, n_max + 1))
     else:
-        counts = tuple(_counts(n_max, k, patterns, sense)[1:])
+        counts = tuple(_count_residual(n_max, k, patterns, sense)[1:])
     return AvoidanceSequence(print_pattern_set(patterns), sense, k, counts)
 
 

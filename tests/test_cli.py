@@ -207,6 +207,16 @@ class TestVerify:
         assert code == 1
         assert failed and all(line.startswith("FAIL pair class 5 {") for line in failed)
 
+    def test_formula_stated_above_nmax_is_skipped(self, capsys):
+        # pair class 6 is stated for n >= 2: at --nmax 1 nothing is evaluated
+        code, out, _ = run(capsys, "verify", "--formulas", "--nmax", "1")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 54
+        assert [line for line in lines if not line.startswith("PASS ")] == [
+            "SKIP pair class 6 {1^11^2,1^22^1}: stated for n >= 2",
+            "SKIP pair class 6 {1^21^1,1^12^2}: stated for n >= 2"]
+
     def test_table_lines_carry_registry_labels(self, capsys):
         _, out, _ = run(capsys, "verify", "--tables", "--nmax", "6")
         assert out.splitlines()[0] == \

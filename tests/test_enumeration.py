@@ -1,12 +1,13 @@
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 
 import pytest
 
 from colorpart import enumeration
-from colorpart.avoidance import Sense, avoids_all, contains_colored
+from colorpart.avoidance import Sense, avoids_all, contains_colored, copy_ends_at
 from colorpart.core import (
     ColoredPartition,
     ColoredPattern,
@@ -207,12 +208,69 @@ class TestDPAgainstOracles:
                 assert dp == len(list(iter_avoiders(n, 3, S, sense)))
                 assert dp == count_avoiders(n, 3, S, sense, naive=True)
 
-    def test_registry_closed_forms_to_20(self):
+    def test_registry_closed_forms_to_40(self):
         for entry in REGISTRY:
             for S in entry.pattern_sets:
-                for n in range(entry.min_n, 21):
-                    assert count_avoiders(n, 2, S) == closed_form(entry, n), \
+                counts = avoidance_sequence(S, n_max=40).counts
+                for n in range(entry.min_n, 41):
+                    assert counts[n - 1] == closed_form(entry, n), \
                         (entry.label, print_pattern_set(S), n)
+
+
+def exponential_formula(w, n):
+    """[a(0), ..., a(n)] for sets whose blocks do not interact: the block of
+    element 1 has s elements, picked in C(m-1, s-1) ways, and w(s) color
+    words (Stanley, EC2 5.1)."""
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(sum(math.comb(m - 1, s - 1) * w(s) * a[m - s] for s in range(1, m + 1)))
+    return a
+
+
+def block_words(n, k, patterns, sense):
+    """w[s]: the color words of one block of s <= n elements that avoid
+    `patterns`, by a walk that drops a word once a copy ends at its end."""
+    w = [0] * (n + 1)
+
+    def grow(colors):
+        t = len(colors)
+        w[t] += 1
+        if t < n:
+            for c in range(1, k + 1):
+                longer = colors + (c,)
+                if not any(copy_ends_at((1,) * (t + 1), longer, t, pi, sense)
+                           for pi in patterns):
+                    grow(longer)
+
+    grow(())
+    return w
+
+
+class TestExponentialFormula:
+    """Word-11 patterns relate elements of one block only, so the DP's
+    counts for sets of them follow from one block's color words."""
+
+    WORD11 = ("1^11^1", "1^11^2", "1^21^1")
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_every_word11_set(self, k, sense):
+        for size in (1, 2, 3):
+            for texts in itertools.combinations(self.WORD11, size):
+                S = parse_pattern_set(",".join(texts), k)
+                w = block_words(9, k, S, sense)
+                assert enumeration._count_residual(9, k, S, sense) == \
+                    exponential_formula(w.__getitem__, 9), (texts, k, sense)
+
+    @pytest.mark.parametrize("k, n", [(2, 25), (3, 18), (4, 11)])
+    @pytest.mark.parametrize("text", ["1^11^1", "1^11^2"])
+    def test_closed_block_counts(self, text, k, n):
+        # distinct colors, or a weakly decreasing color word
+        w = {"1^11^1": functools.partial(math.perm, k),
+             "1^11^2": lambda s: math.comb(s + k - 1, k - 1)}[text]
+        S = parse_pattern_set(text, k)
+        assert enumeration._count_residual(n, k, S, Sense.PATTERN) == \
+            exponential_formula(w, n)
 
 
 @functools.lru_cache(maxsize=None)

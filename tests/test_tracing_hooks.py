@@ -6,13 +6,16 @@ a refactor that removes or renames one of those names fail the test
 suite rather than a later traced run or pool rebuild.  A pooled oracle
 count under the tracer checks that the pool's task still pickles once
 the tracer has rebound the program's functions.  Every seed-1 benchmark
-request, run in process, must pass the benchmark's own output check.
+request, run in process with and without the tracer, must pass the
+benchmark's own output check.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,8 +51,13 @@ def test_traced_pooled_walk_matches_oracle():
     assert pooled == dp
 
 
-def test_benchmark_outputs_pass_the_golden_check():
+@pytest.mark.parametrize("traced", ["no", "yes"])
+def test_benchmark_outputs_pass_the_golden_check(traced):
+    # traced, the tracer rebinds the program's functions before the CLI
+    # imports them, as a `--trace 1` run of the benchmark does
+    install = "import tracing; tracing.install()\n" if traced == "yes" else ""
     proc = run_with_bench(
+        install +
         "import contextlib, io\n"
         "import run, workloads\n"
         "from colorpart import cli\n"
