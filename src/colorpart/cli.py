@@ -11,6 +11,8 @@ import argparse
 import csv
 import itertools
 import json
+# argparse's gettext imports locale on every run; loaded with the CLI, no forked request reloads it
+import locale  # noqa: F401
 import sys
 
 from . import bijections

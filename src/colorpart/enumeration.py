@@ -19,9 +19,9 @@ in the same order, as `ColoredPartition` objects.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -70,6 +70,23 @@ def iter_colored(n: int, k: int = 2,
 
 # --- counting ------------------------------------------------------------
 
+def _gc_paused(fn):
+    """Run `fn` with the cyclic collector off, then restore the caller's
+    setting.  The DP's states are tuples of ints, which form no cycles,
+    yet the collector would re-walk every live one."""
+    @functools.wraps(fn)
+    def run(*args):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if enabled:
+                gc.enable()
+    return run
+
+
+@_gc_paused
 def _count_residual(n, k, patterns, sense):
     """Avoider counts [a(0), ..., a(n)] by a forward DP over prefix residuals.
 
@@ -360,6 +377,8 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
         return _count_residual(n, k, patterns, sense)[n]
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1 and n > PREFIX_SPLIT_LENGTH:
+        from concurrent.futures import ProcessPoolExecutor
+
         task = functools.partial(_count_naive, n, k, patterns, sense)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return sum(pool.map(task, iter_rgs(PREFIX_SPLIT_LENGTH), chunksize=4))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +342,70 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 30
+
+
+# Runs in a fresh interpreter: the modules `import colorpart.cli` loads,
+# then the ones each kind of request adds, then a pooled and an unpooled
+# --naive count.
+IMPORT_DIET = r"""
+import io, json, sys
+import colorpart.cli
+
+loaded = set(sys.modules)
+
+
+def run(argv):
+    sys.stdout = sys.stderr = buf = io.StringIO()
+    try:
+        code = colorpart.cli.main(argv)
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+    return code, buf.getvalue()
+
+
+requests = [
+    ["count", "-p", "1^11^2", "-n", "5"],
+    ["count", "-p", "1^11^2,1^21^1", "-n", "5", "--format", "json"],
+    ["count", "-p", "1^12^11^2", "-k", "3", "-n", "4", "--format", "csv"],
+    ["sequence", "-p", "1^12^2,1^22^1", "--nmax", "5"],
+    ["classify", "--size", "2", "--nmax", "4"],
+    ["verify", "--tables", "--nmax", "3"],
+    ["bijection", "f", "1^24^1/2^1/3^26^1/5^1/7^2"],
+    ["count", "-p", "1^1x", "-n", "5"],
+]
+codes = [run(argv)[0] for argv in requests]
+added = sorted(set(sys.modules) - loaded)
+naive = ["count", "-p", "1^12^11^2", "-n", "6", "--naive", "--jobs"]
+print(json.dumps({
+    "pool_modules": sorted(m for m in loaded
+                           if m.startswith(("concurrent", "multiprocessing"))),
+    "locale": "locale" in loaded,
+    "codes": codes,
+    "added": added,
+    "jobs1": run(naive + ["1"]),
+    "jobs2": run(naive + ["2"]),
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def import_diet():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_DIET], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImportDiet:
+    def test_cli_import_loads_no_pool(self, import_diet):
+        assert import_diet["pool_modules"] == []
+        assert import_diet["locale"]
+
+    def test_requests_import_nothing_more(self, import_diet):
+        assert import_diet["codes"] == [0, 0, 0, 0, 0, 0, 0, 2]
+        assert import_diet["added"] == []
+
+    def test_pooled_naive_count_matches_one_job(self, import_diet):
+        assert import_diet["jobs1"][0] == 0
+        assert import_diet["jobs2"] == import_diet["jobs1"]

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -131,7 +132,7 @@ class TestCountAvoiders:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
         return started
 
@@ -410,6 +411,33 @@ class TestResidualDP:
         counts = avoidance_sequence(S, n_max=6).counts
         assert counts == tuple(count_avoiders(n, 2, S) for n in range(1, 7))
         assert counts == tuple(count_avoiders(n, 2, S, naive=True) for n in range(1, 7))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_and_restored(self, monkeypatch, enabled):
+        S = parse_pattern_set("1^11^1")
+        seen = []
+        pair_tables = enumeration.pair_tables
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return pair_tables(*args)
+
+        def failing(*args):
+            raise RuntimeError("planted")
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            monkeypatch.setattr(enumeration, "pair_tables", recording)
+            assert count_avoiders(6, 3, S) == avoidance_sequence(S, k=3, n_max=6).counts[-1]
+            assert gc.isenabled() is enabled
+            assert seen == [False, False]
+            monkeypatch.setattr(enumeration, "pair_tables", failing)
+            with pytest.raises(RuntimeError, match="planted"):
+                count_avoiders(6, 3, S)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestSequencesAndClasses:
