@@ -11,10 +11,13 @@ Colored partition patterns can be matched in three senses:
 Containment is monotone: a partition contains a pattern when a copy
 ends at one of its elements.  What the length-2 members of a pattern
 set forbid is compiled once, by `pair_tables`, into two bitmask tables
-over colors; the length-2 containment scan and the counting engines all
-read them.  A copy of any other pattern is found by `copy_ends_at`,
-which pins the copy's last element and reads nothing after it, so one
+over colors; the containment scan and the counting engines all read
+them.  A copy of any other pattern is found by `copy_ends_at`, which
+pins the copy's last element and reads nothing after it, so one
 left-to-right walk can reject an element as soon as a copy ends there.
+`copy_ends_at` is the one definition of the three senses.  One scan,
+`avoids_all`, serves containment for a whole pattern set, one pattern
+being its smallest case.
 
 Vincular (dashed) permutation patterns follow the same rule, in
 `vincular_ends_at` and in the permutation walk `iter_vincular_avoiders`.
@@ -84,18 +87,6 @@ def copy_ends_at(word: Sequence[int], colors: Sequence[int], t: int,
     return True
 
 
-def contains_colored_generic(sigma: ColoredPartition, pi: ColoredPattern,
-                             sense: Sense = Sense.PATTERN) -> bool:
-    """Containment for patterns of any length: a copy ends at some element.
-
-    The empty pattern is contained in every partition, the empty one too.
-    """
-    if pi.n == 0:
-        return True
-    return any(copy_ends_at(sigma.word, sigma.colors, t, pi, sense)
-               for t in range(pi.n - 1, sigma.n))
-
-
 @functools.lru_cache(maxsize=1024)
 def pair_tables(patterns: tuple[ColoredPattern, ...], sense: Sense, k: int):
     """What the length-2 members of a pattern set forbid, as (same_bad, diff_bad).
@@ -127,35 +118,42 @@ def others_mask(own: int, holders: Sequence[int]) -> int:
     return sum(1 << c for c, h in enumerate(holders) if h > (own >> c & 1))
 
 
-def _contains_pair(sigma: ColoredPartition, pi: ColoredPattern, sense: Sense) -> bool:
-    # Constant-space scan for length-2 patterns: the hot path.
-    same_bad, diff_bad = pair_tables((pi,), sense, sigma.k)
+def avoids_all(sigma: ColoredPartition, patterns: Iterable[ColoredPattern],
+               sense: Sense = Sense.PATTERN) -> bool:
+    """True iff `sigma` avoids every pattern in the set (vacuously true for empty sets).
+
+    The one containment scan, by the rule `enumeration._walk` applies
+    as it generates: at each element, the earlier ones are read against
+    the set's `pair_tables`, then a copy of every pattern of another
+    length is looked for that ends there.  The empty pattern is
+    contained in every partition, the empty one too.
+    """
+    patterns = tuple(patterns)
+    if any(pi.n == 0 for pi in patterns):
+        return False
+    same_bad, diff_bad = pair_tables(patterns, sense, sigma.k)
+    other_lengths = [pi for pi in patterns if pi.n != 2]
     word, colors = sigma.word, sigma.colors
-    for j in range(1, sigma.n):
-        bj, same, diff = word[j], same_bad[colors[j]], diff_bad[colors[j]]
-        for i in range(j):
-            if (same if word[i] == bj else diff) >> colors[i] & 1:
-                return True
-    return False
+    for t in range(sigma.n):
+        b, same, diff = word[t], same_bad[colors[t]], diff_bad[colors[t]]
+        for i in range(t):
+            if (same if word[i] == b else diff) >> colors[i] & 1:
+                return False
+        for pi in other_lengths:
+            if copy_ends_at(word, colors, t, pi, sense):
+                return False
+    return True
 
 
 def contains_colored(sigma: ColoredPartition, pi: ColoredPattern,
                      sense: Sense = Sense.PATTERN) -> bool:
     """True iff `sigma` contains `pi` in the given sense."""
-    if pi.n == 2:
-        return _contains_pair(sigma, pi, sense)
-    return contains_colored_generic(sigma, pi, sense)
+    return not avoids_all(sigma, (pi,), sense)
 
 
 def avoids(sigma: ColoredPartition, pi: ColoredPattern,
            sense: Sense = Sense.PATTERN) -> bool:
-    return not contains_colored(sigma, pi, sense)
-
-
-def avoids_all(sigma: ColoredPartition, patterns: Iterable[ColoredPattern],
-               sense: Sense = Sense.PATTERN) -> bool:
-    """True iff `sigma` avoids every pattern in the set (vacuously true for empty sets)."""
-    return all(not contains_colored(sigma, pi, sense) for pi in patterns)
+    return avoids_all(sigma, (pi,), sense)
 
 
 def vincular_ends_at(q: Sequence[int], t: int, p: VincularPattern) -> bool:
@@ -204,6 +202,8 @@ def _vincular_walk(m, patterns, ascent_led=False):
     `ascent_led`, also as soon as its second entry lies below its first,
     so only avoiders that begin with an ascent are reached.
     """
+    if m < 0:
+        raise ValueError("n must be nonnegative")
     if any(p.m == 0 for p in patterns) or ascent_led and m < 2:
         # every permutation contains the empty pattern; none of [0] or [1]
         # begins with an ascent

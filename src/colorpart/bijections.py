@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .avoidance import Sense, _vincular_walk, contains_colored, contains_vincular
+from .avoidance import Sense, _vincular_walk, avoids_all, contains_colored, contains_vincular
 from .core import (
     ColoredPartition,
     ColoredPattern,
@@ -48,11 +48,12 @@ def _require_avoids(sigma: ColoredPartition, patterns, what: str) -> None:
     if any(c > 2 for c in sigma.colors):
         raise DomainError("%s has a color above 2, outside the %s domain"
                           % (sigma.word_text(), what))
-    for pi in patterns:
-        if contains_colored(sigma, pi, Sense.PATTERN):
-            raise DomainError(
-                "%s contains %s, outside the %s domain"
-                % (sigma.word_text() or "()", pi.word_text(), what))
+    if not avoids_all(sigma, patterns, Sense.PATTERN):
+        # name the first pattern, in set order, that sigma contains
+        pi = next(pi for pi in patterns if contains_colored(sigma, pi, Sense.PATTERN))
+        raise DomainError(
+            "%s contains %s, outside the %s domain"
+            % (sigma.word_text() or "()", pi.word_text(), what))
 
 
 def _require_perm_avoids(q: Permutation, patterns, what: str) -> None:

@@ -13,6 +13,7 @@ import itertools
 import json
 # argparse's gettext imports locale on every run; loaded with the CLI, no forked request reloads it
 import locale  # noqa: F401
+import os
 import sys
 
 from . import bijections
@@ -28,7 +29,6 @@ from .enumeration import (
     avoidance_sequence,
     canonical_pair_patterns,
     count_avoiders,
-    nmax_cap,
     verify_eq_pattern_identities,
     verify_color_symmetries,
     wilf_classify,
@@ -51,8 +51,15 @@ class ResourceCapError(RuntimeError):
 
 
 def _check_cap(n: int) -> None:
-    cap = nmax_cap()
-    if cap is not None and n > cap:
+    """Refuse n above the optional PPL_NMAX_CAP size cap."""
+    raw = os.environ.get("PPL_NMAX_CAP")
+    if raw is None:
+        return
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError("PPL_NMAX_CAP must be an integer, got %r" % raw)
+    if n > cap:
         raise ResourceCapError(
             "n = %d exceeds the PPL_NMAX_CAP limit of %d" % (n, cap))
 

@@ -158,10 +158,6 @@ class ColoredPattern(ColoredPartition):
     def reduced_colors(self) -> tuple[int, ...]:
         return reduce_word(self.colors)
 
-    def canonical(self) -> "ColoredPattern":
-        """The color-reduced representative used for registry keys."""
-        return ColoredPattern(self.word, self.reduced_colors, self.k)
-
     def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.word, self.reduced_colors)
 

@@ -121,7 +121,7 @@ def _count_residual(n, k, patterns, sense):
     patterns = tuple(patterns)
     if any(pi.n == 0 for pi in patterns):
         return [0] * (n + 1)  # every partition contains the empty pattern
-    pats = [(pi.word, pi.colors) for pi in patterns]
+    words = [pi.word for pi in patterns]
     ordered = sense is Sense.PATTERN
     memo: dict[tuple, int] = {}
 
@@ -131,18 +131,18 @@ def _count_residual(n, k, patterns, sense):
         key = (p, j, chosen)
         mask = memo.get(key)
         if mask is None:
-            word, want = pats[p]
+            pi = patterns[p]
+            # the pattern's first j+1 elements, with its own k: its colors
+            # may lie above the count's k
+            prefix = ColoredPattern(pi.word[:j + 1], pi.colors[:j + 1], pi.k)
+            # only the pattern sense keeps the chosen colors; in the
+            # others each element's color is judged alone
+            before = chosen if ordered else pi.colors[:j]
             mask = 0
             for c in range(1, k + 1):
-                if sense is Sense.EQ:
-                    ok = c == want[j]
-                elif sense is Sense.LT:
-                    ok = c <= want[j]
-                else:
-                    ok = all((c > d) - (c < d) == (want[j] > w) - (want[j] < w)
-                             for d, w in zip(chosen, want))
-                if ok and (j + 1 == len(word)
-                           or colors_at(p, j + 1, chosen + (c,) if ordered else ())):
+                if copy_ends_at(prefix.word, before + (c,), j, prefix, sense) and (
+                        j + 1 == pi.n
+                        or colors_at(p, j + 1, chosen + (c,) if ordered else ())):
                     mask |= 1 << c
             memo[key] = mask
         return mask
@@ -153,10 +153,10 @@ def _count_residual(n, k, patterns, sense):
                    for bad in pair_tables(patterns, sense, k))
     # the empty copy of every pattern longer than 2; a length-1 pattern
     # allows its colors in no block
-    starts = [(p, 0, (), ()) for p, (word, _) in enumerate(pats)
+    starts = [(p, 0, (), ()) for p, word in enumerate(words)
               if len(word) > 2 and colors_at(p, 0, ())]
-    only0 = functools.reduce(int.__or__, (colors_at(p, 0, ()) for p, (word, _)
-                                          in enumerate(pats) if len(word) == 1), 0)
+    only0 = functools.reduce(int.__or__, (colors_at(p, 0, ()) for p, word
+                                          in enumerate(words) if len(word) == 1), 0)
 
     def canon(rest, masks, copies, only):
         """(unlabelled masks, labelled masks, copies, only): the blocks no
@@ -183,7 +183,7 @@ def _count_residual(n, k, patterns, sense):
         opens = []                   # copies whose next element opens a block
         for cp in itertools.chain(starts, copies):
             p, j, B, C = cp
-            q = pats[p][0][j]
+            q = words[p][j]
             if q <= len(B):
                 joins.setdefault(B[q - 1], []).append((colors_at(p, j, C), cp))
             else:
@@ -207,7 +207,7 @@ def _count_residual(n, k, patterns, sense):
                 for mask, (p, j, B, C) in grows:
                     if not mask >> c & 1:
                         continue
-                    word = pats[p][0]
+                    word = words[p]
                     if word[j] > len(B):
                         B += (b,)
                     if ordered:
@@ -273,6 +273,8 @@ def _walk(n, k, patterns, sense):
     overwrite.  Containment is monotone, so an element is rejected as
     soon as a copy ends at it.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if any(pi.n == 0 for pi in patterns):
         return  # every partition contains the empty pattern
     same_bad, diff_bad = pair_tables(patterns, sense, k)
@@ -509,7 +511,7 @@ def count_from_profiles(hist: dict[int, int],
     canonical = [p.key() for p in canonical_pair_patterns()]
     smask = 0
     for p in patterns:
-        smask |= 1 << canonical.index(p.canonical().key())
+        smask |= 1 << canonical.index(p.key())
     return sum(v for mask, v in hist.items() if mask & smask == 0)
 
 
@@ -583,14 +585,3 @@ def verify_eq_pattern_identities(n_max: int = 6) -> VerificationReport:
                 witness = ColoredPartition(*min(left ^ right), 2)
                 report.failures.append("%s: witness %s" % (desc, witness.word_text()))
     return report
-
-
-def nmax_cap() -> int | None:
-    """Optional enumeration size cap from the PPL_NMAX_CAP env var."""
-    raw = os.environ.get("PPL_NMAX_CAP")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("PPL_NMAX_CAP must be an integer, got %r" % raw)

@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence
 
-from .core import ColoredPattern, parse_pattern_set
+from .core import ColoredPartition, ColoredPattern, parse_pattern_set, reduce_word
 
 
 class FormulaRangeError(ValueError):
@@ -317,7 +317,7 @@ def _registry_index() -> dict[frozenset, FormulaEntry]:
     index = {}
     for entry in REGISTRY:
         for patterns in entry.pattern_sets:
-            key = frozenset(p.canonical().key() for p in patterns)
+            key = frozenset(p.key() for p in patterns)
             index[key] = entry
     return index
 
@@ -325,12 +325,12 @@ def _registry_index() -> dict[frozenset, FormulaEntry]:
 _INDEX = _registry_index()
 
 
-def lookup_formula(patterns: Iterable[ColoredPattern]) -> FormulaEntry | None:
+def lookup_formula(patterns: Iterable[ColoredPartition]) -> FormulaEntry | None:
     """Find the registry entry for a pattern set, if one exists.
 
-    Patterns are compared by their color-reduced forms, so sets stated
-    with unreduced colors resolve to the same entry.
+    Patterns are compared by their color-reduced forms, as
+    `ColoredPattern.key` gives them, so sets stated with unreduced colors,
+    or as plain colored partitions, resolve to the same entry.
     """
-    key = frozenset(ColoredPattern(p.word, p.colors, p.k).canonical().key()
-                    for p in patterns)
+    key = frozenset((p.word, reduce_word(p.colors)) for p in patterns)
     return _INDEX.get(key)

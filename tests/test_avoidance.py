@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -7,8 +8,8 @@ from colorpart.avoidance import (
     _vincular_walk,
     avoids_all,
     begins_with_ascent,
+    avoids,
     contains_colored,
-    contains_colored_generic,
     contains_vincular,
     iter_vincular_avoiders,
 )
@@ -25,7 +26,7 @@ from colorpart.core import (
     parse_vincular,
     reduce_word,
 )
-from colorpart.enumeration import canonical_pair_patterns, iter_colored, iter_rgs
+from colorpart.enumeration import avoider_set, canonical_pair_patterns, iter_colored, iter_rgs
 from colorpart.formulas import bell
 
 
@@ -84,7 +85,6 @@ class TestContainsColored:
                 for pi in canonical_pair_patterns():
                     expected = pairwise_oracle(sigma, pi, sense)
                     assert contains_colored(sigma, pi, sense) == expected
-                    assert contains_colored_generic(sigma, pi, sense) == expected
 
     @pytest.mark.parametrize("sense", list(Sense))
     def test_matches_pairwise_oracle_three_colors(self, sense):
@@ -96,14 +96,14 @@ class TestContainsColored:
                     assert contains_colored(sigma, pi, sense) == \
                         pairwise_oracle(sigma, pi, sense)
 
-    def test_generic_agrees_at_n7_sample(self):
+    def test_matches_pairwise_oracle_at_n7_sample(self):
         pats = canonical_pair_patterns()
         for idx, sigma in enumerate(iter_colored(7, 2)):
             if idx % 97:  # deterministic sample of the 112k hosts
                 continue
             for pi in pats:
-                assert contains_colored_generic(sigma, pi) == \
-                    contains_colored(sigma, pi)
+                assert contains_colored(sigma, pi) == \
+                    pairwise_oracle(sigma, pi, Sense.PATTERN)
 
     def test_longer_pattern_generic(self):
         # 157/238/4/6 contains the uncolored pattern 15/2/34 (word 12331)
@@ -111,8 +111,8 @@ class TestContainsColored:
         sigma = ColoredPartition((1, 2, 2, 3, 1, 4, 1, 2), (1,) * 8, 1)
         yes = ColoredPattern((1, 2, 3, 3, 1), (1,) * 5, 1)
         no = ColoredPattern((1, 1, 1, 2, 3), (1,) * 5, 1)
-        assert contains_colored_generic(sigma, yes)
-        assert not contains_colored_generic(sigma, no)
+        assert contains_colored(sigma, yes)
+        assert not contains_colored(sigma, no)
 
     def test_senses_coincide_single_color(self):
         for n in range(1, 6):
@@ -143,6 +143,37 @@ class TestAvoidsAll:
         S = parse_pattern_set("1^12^1,1^22^1")
         count = sum(avoids_all(s, S) for s in iter_colored(2, 2))
         assert count == 5
+
+    def test_empty_pattern_is_contained_everywhere(self):
+        empty = ColoredPattern((), (), 2)
+        for n in range(4):
+            for sigma in iter_colored(n, 2):
+                assert not avoids_all(sigma, (empty,))
+                assert not avoids_all(sigma, (parse_pattern("1^11^2"), empty))
+                assert contains_colored(sigma, empty)
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_one_scan_matches_each_pattern_and_the_walk(self, k, sense):
+        # the set's merged tables against one scan per pattern, and against
+        # the avoiders the walk generates
+        by_length = {m: [ColoredPattern(w, c, k) for w in iter_rgs(m)
+                         for c in product(range(1, k + 1), repeat=m)]
+                     for m in (1, 2, 3)}
+        rng = random.Random(20 + k)
+        sets = []
+        for _ in range(6):
+            lengths = [rng.choice((1, 2, 2, 3)) for _ in range(rng.randint(2, 4))]
+            sets.append(tuple(rng.choice(by_length[m]) for m in lengths))
+        assert {pi.n for S in sets for pi in S} == {1, 2, 3}
+        assert any(sum(pi.n == 2 for pi in S) > 1 for S in sets)
+        for n in range(6):
+            for S in sets:
+                avoiders = avoider_set(n, k, S, sense)
+                for sigma in iter_colored(n, k):
+                    one = avoids_all(sigma, S, sense)
+                    assert one == all(avoids(sigma, pi, sense) for pi in S), (sigma, S)
+                    assert one == (sigma in avoiders), (sigma, S)
 
 
 class TestVincular:
@@ -238,6 +269,10 @@ class TestVincularAgainstOracle:
         for m in range(4):
             assert list(iter_vincular_avoiders(m, (P12_3, empty))) == []
             assert all(contains_vincular(q, empty) for q in all_permutations(m))
+
+    def test_negative_size_is_refused(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            list(iter_vincular_avoiders(-1, (P12_3,)))
 
     def test_bell_counts_past_eight(self):
         # |S_m(1-23)| = |S_m(12-3)| = B(m) (Claesson 2001)

@@ -67,6 +67,25 @@ class TestF:
             bij_f(parse_blocks("1^12^1"))  # word 1^11^1 contains 1^11^1
 
 
+class TestDomainErrors:
+    def test_names_the_first_contained_pattern(self):
+        def message(check, *args):
+            with pytest.raises(DomainError) as exc:
+                check(*args)
+            return str(exc.value)
+
+        # 1^11^22^22^1 contains 1^11^2 and 1^22^1 of the class-3a domain,
+        # not 1^11^1; the message names the first of them in set order
+        sigma = ColoredPartition((1, 1, 2, 2), (1, 2, 2, 1))
+        assert message(bij_class3_structural, sigma) == \
+            "1^11^22^22^1 contains 1^11^2, outside the class-3 structural domain"
+        assert message(bijections._require_avoids, sigma, CLASS3A_DOMAIN[::-1], "x") == \
+            "1^11^22^22^1 contains 1^22^1, outside the x domain"
+        # a host that contains only the set's last pattern
+        assert message(bij_class3_structural, ColoredPartition((1, 2), (2, 1))) == \
+            "1^22^1 contains 1^22^1, outside the class-3 structural domain"
+
+
 class TestTwoColorDomains:
     @pytest.mark.parametrize("fn", [
         bij_f, bij_g, bij_class2_pairs, bij_class2_pairs_inv,
@@ -165,6 +184,12 @@ class TestVerifyReports:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             verify_bijection("nope", 3)
+
+    @pytest.mark.parametrize("name", ["f", "tau", "g", "class2",
+                                      "class3a", "class3b"])
+    def test_negative_size_is_refused(self, name):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            verify_bijection(name, -1)
 
 
 class TestVerifyFailures:

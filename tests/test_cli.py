@@ -334,6 +334,13 @@ class TestErrorsAndCaps:
         code, _, _ = run(capsys, "count", "-p", "1^11^2", "-n", "5")
         assert code == 0
 
+    def test_nmax_cap_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PPL_NMAX_CAP", "x")
+        code, out, err = run(capsys, "count", "-p", "1^11^2", "-n", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: PPL_NMAX_CAP must be an integer, got 'x'\n"
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(

@@ -369,6 +369,13 @@ class TestWalkAgainstOracles:
                     count_avoiders(0, 2, S, sense, naive=True), S
                 assert count == (0 if empty in S else 1)
 
+    def test_negative_size_is_refused(self):
+        S = parse_pattern_set("1^11^2,1^12^11^2")
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            list(iter_avoiders(-1, 2, S))
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            avoider_set(-2, 2, S)
+
     def test_pooled_walk(self):
         S = parse_pattern_set("1^12^11^2")
         assert count_avoiders(6, 2, S, naive=True, jobs=2) == \
@@ -404,6 +411,17 @@ class TestResidualDP:
             counts = enumeration._count_residual(5, 3, S, sense)
             assert counts == [self.walk_count(n, 3, S, sense) for n in range(6)], \
                 (S, sense)
+
+    @pytest.mark.parametrize("sense,counts", [
+        (Sense.PATTERN, [2, 8, 39, 220, 1386]),
+        (Sense.EQ, [2, 8, 40, 240, 1664]),
+        (Sense.LT, [2, 8, 38, 202, 1168]),
+    ])
+    def test_pattern_colors_above_k(self, sense, counts):
+        # each prefix of the pattern is built with the pattern's own k = 3
+        S = (ColoredPattern((1, 1, 2), (1, 3, 1), 3),)
+        assert enumeration._count_residual(5, 2, S, sense)[1:] == counts
+        assert [count_avoiders(n, 2, S, sense, naive=True) for n in range(1, 6)] == counts
 
     @pytest.mark.parametrize("text", ["1^11^2,1^22^1", "1^12^11^2,1^11^2"])
     def test_one_pass_sequence(self, text):

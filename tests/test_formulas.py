@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from colorpart.core import parse_pattern_set
+from colorpart.core import ColoredPartition, parse_pattern_set
 from colorpart.enumeration import canonical_pair_patterns, count_avoiders
 from colorpart.formulas import (
     REGISTRY,
@@ -117,6 +117,13 @@ class TestLookup:
         # 1^21^1 and 1^12^1 color-reduce onto registry members
         entry = lookup_formula(parse_pattern_set("1^21^1,1^12^1"))
         assert entry is not None and entry.label == "pair class 2"
+
+    def test_plain_partitions_with_unreduced_colors_resolve(self):
+        # 1^11^3 and 1^32^2 reduce to 1^12^2 and 1^22^1
+        S = (ColoredPartition((1, 2), (1, 3), 3), ColoredPartition((1, 2), (3, 2), 3))
+        entry = lookup_formula(S)
+        assert entry is not None and entry.label == "pair class 5"
+        assert entry is lookup_formula(parse_pattern_set("1^12^2,1^22^1"))
 
     def test_single_pattern_without_formula(self):
         assert lookup_formula(parse_pattern_set("1^11^2")) is None
