@@ -1,16 +1,16 @@
 """Exhaustive generation and avoidance counting.
 
-Counting runs one forward transfer DP in this process, `_count_residual`,
-which yields every count up to n in one pass.  Its states are prefix
-residuals: a color mask per block and one mask `only` that say where each
-color is still allowed, the blocks no partial copy names kept as a sorted
-tuple of masks, and the partial copies of the patterns longer than 2.
-Length-2 patterns edit the masks as `avoidance.pair_tables` says.  Every
-set's avoiders are generated by one left-to-right walk over the colored
-words that rejects an element as soon as a copy ends at it: a length-2
-copy by the `avoidance.pair_tables` of the set, a copy of any other
-length by `avoidance.copy_ends_at`.  Full enumeration serves only as the
-oracle (`naive=True`), the one search split by word prefix across `jobs`
+Counting runs one forward transfer DP over prefix residuals in this
+process, every count up to n in one pass.  `_PatternSet` compiles a
+pattern set for k colors.  Its `step` gives the colors the next element
+may take in one block and the residual each leaves: block color masks,
+edited as `avoidance.pair_tables` says for length-2 patterns, and the
+partial copies of longer ones.  `_count_residual` drives it level by
+level.  Every set's avoiders are generated by one left-to-right walk
+that rejects an element as soon as a copy ends at it: a length-2 copy by
+the `avoidance.pair_tables` of the set, a copy of any other length by
+`avoidance.copy_ends_at`.  Full enumeration serves only as the oracle
+(`naive=True`), the one search split by word prefix across `jobs`
 processes: it tests every raw colored word in the pair sweep it shares
 with `containment_profiles`.  `iter_colored` yields the same elements,
 in the same order, as `ColoredPartition` objects.
@@ -70,199 +70,199 @@ def iter_colored(n: int, k: int = 2,
 
 # --- counting ------------------------------------------------------------
 
-def _gc_paused(fn):
-    """Run `fn` with the cyclic collector off, then restore the caller's
-    setting.  The DP's states are tuples of ints, which form no cycles,
-    yet the collector would re-walk every live one."""
-    @functools.wraps(fn)
-    def run(*args):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args)
-        finally:
-            if enabled:
-                gc.enable()
-    return run
+class _PatternSet:
+    """A pattern set compiled for the residual DP at k colors.
 
-
-@_gc_paused
-def _count_residual(n, k, patterns, sense):
-    """Avoider counts [a(0), ..., a(n)] by a forward DP over prefix residuals.
-
-    A prefix matters to its extensions only through the copies they can
-    still complete (the transfer-matrix method, Stanley, EC1 4.7, with
-    states as in Zeilberger's enumeration schemes).  Each block has a
-    color mask, read against the state's bitmask `only`: color c is
-    barred from the blocks whose mask has bit c while bit c of `only` is
-    clear, and allowed only in those blocks once it is set.  A state holds:
-
-    * `free`, the number of nonempty blocks with mask 0 that no copy
-      names; a next element joins one as it would open a new block;
-    * the masks of the other blocks no copy names, as a sorted tuple: a
-      move branches once per distinct mask, weighted by how many have it;
-    * the masks of the blocks the partial copies name, labelled 0, 1, ...;
-    * the partial copies of the patterns longer than 2 that are two or
-      more elements short, as (pattern, length, host labels of the
-      pattern's blocks, colors), colors kept only in the pattern sense
-      and only while the copy can still be completed;
-    * `only`.
-
-    A move edits masks in two ways: bar colors in one block, or allow
-    them only in some blocks.  Placing color c in block x does both, as
-    the set's `pair_tables` say for its length-2 patterns.  A copy one
-    element short does one of them to the block its last element joins,
-    or to the copy's blocks when that element opens one.  Each edit only
-    shrinks where a color is allowed, so a move's edits commute.  Blocks
-    are relabelled by mask and by a signature of their roles; any
-    bijective relabelling leaves the count unchanged.  Each state
-    carries the number of colored prefixes that reach it.
+    A prefix's blocks have color masks, read against one bitmask `only`:
+    color c is barred from the blocks whose mask has bit c while bit c of
+    `only` is clear, and allowed only in those blocks once it is set.  A
+    partial copy (pattern, length, host labels of its blocks, colors;
+    colors only in the pattern sense) lives while it can be completed.
     """
-    patterns = tuple(patterns)
-    if any(pi.n == 0 for pi in patterns):
-        return [0] * (n + 1)  # every partition contains the empty pattern
-    words = [pi.word for pi in patterns]
-    ordered = sense is Sense.PATTERN
-    memo: dict[tuple, int] = {}
 
-    def colors_at(p, j, chosen):
+    def __init__(self, k, patterns, sense):
+        self.k, self.patterns, self.sense = k, patterns, sense
+        self.words = [pi.word for pi in patterns]
+        self.ordered = sense is Sense.PATTERN
+        self.memo: dict[tuple, int] = {}
+        self.state = None  # the last state `step` sorted the copies of
+        # per color c = 1..k: the colors it bars in its own block once
+        # placed, and those it allows only there
+        tables = pair_tables(patterns, sense, k)
+        self.edits = [tuple(sum(1 << d for d in range(1, k + 1) if bad[d] >> c & 1)
+                            for bad in tables) for c in range(1, k + 1)]
+        # the empty copy of every pattern longer than 2; a length-1 pattern
+        # allows its colors in no block
+        self.starts = [(p, 0, (), ()) for p, word in enumerate(self.words)
+                       if len(word) > 2 and self.colors_at(p, 0, ())]
+        self.only0 = functools.reduce(int.__or__, (self.colors_at(p, 0, ()) for p, word
+                                                   in enumerate(self.words) if len(word) == 1), 0)
+
+    def colors_at(self, p, j, chosen):
         """Colors (a bitmask) element j of a copy of pattern p may take
         after the colors `chosen`, such that the copy can still be completed."""
         key = (p, j, chosen)
-        mask = memo.get(key)
+        mask = self.memo.get(key)
         if mask is None:
-            pi = patterns[p]
+            pi = self.patterns[p]
             # the pattern's first j+1 elements, with its own k: its colors
             # may lie above the count's k
             prefix = ColoredPattern(pi.word[:j + 1], pi.colors[:j + 1], pi.k)
             # only the pattern sense keeps the chosen colors; in the
             # others each element's color is judged alone
-            before = chosen if ordered else pi.colors[:j]
+            before = chosen if self.ordered else pi.colors[:j]
             mask = 0
-            for c in range(1, k + 1):
-                if copy_ends_at(prefix.word, before + (c,), j, prefix, sense) and (
+            for c in range(1, self.k + 1):
+                if copy_ends_at(prefix.word, before + (c,), j, prefix, self.sense) and (
                         j + 1 == pi.n
-                        or colors_at(p, j + 1, chosen + (c,) if ordered else ())):
+                        or self.colors_at(p, j + 1, chosen + (c,) if self.ordered else ())):
                     mask |= 1 << c
-            memo[key] = mask
+            self.memo[key] = mask
         return mask
 
-    # the colors that color c, once placed, bars in its own block, and
-    # those it allows only there
-    same, other = ([sum(1 << d for d in range(1, k + 1) if bad[d] >> c & 1) for c in range(k + 1)]
-                   for bad in pair_tables(patterns, sense, k))
-    # the empty copy of every pattern longer than 2; a length-1 pattern
-    # allows its colors in no block
-    starts = [(p, 0, (), ()) for p, word in enumerate(words)
-              if len(word) > 2 and colors_at(p, 0, ())]
-    only0 = functools.reduce(int.__or__, (colors_at(p, 0, ()) for p, word
-                                          in enumerate(words) if len(word) == 1), 0)
-
-    def canon(rest, masks, copies, only):
-        """(unlabelled masks, labelled masks, copies, only): the blocks no
-        copy names go to the sorted masks, or to `free` when their mask is
-        0, and the others are relabelled 0, 1, ... by mask and role."""
-        roles: dict[int, list] = {}
-        for p, j, B, C in copies:
-            for pos, x in enumerate(B):
-                roles.setdefault(x, []).append((p, j, pos, C))
-        unl = sorted([*rest, *(m for x, m in enumerate(masks) if m and x not in roles)])
-        order = sorted(roles, key=lambda x: (masks[x], sorted(roles[x])))
-        label = dict(zip(order, range(len(order)))).__getitem__
-        return (tuple(unl), tuple(map(masks.__getitem__, order)),
-                tuple(sorted([(p, j, tuple(map(label, B)), C) for p, j, B, C in copies])),
-                only)
-
-    def moves(unl, lab, copies, only):
-        """{(gained, state, per_free): ways} over the next element's block and
-        color, `gained` being the change in `free`: with `per_free` the
-        element joins a free block, so the ways count once per free block.
-        Label r = len(lab) stands for a block no copy names."""
-        r = len(lab)
-        joins: dict[int, list] = {}  # label -> copies whose next element joins it
-        opens = []                   # copies whose next element opens a block
-        for cp in itertools.chain(starts, copies):
-            p, j, B, C = cp
-            q = words[p][j]
-            if q <= len(B):
-                joins.setdefault(B[q - 1], []).append((colors_at(p, j, C), cp))
-            else:
-                opens.append((colors_at(p, j, C), cp))
-        # (label, mask, blocks like it, the unlabelled blocks besides it) for
-        # each labelled block, a free or a new block, and each unlabelled mask
-        targets = [(x, m, 1, unl) for x, m in enumerate(lab)] + [(r, 0, 1, unl)]
-        for own, group in itertools.groupby(unl):
+    def step(self, state, b, own):
+        """{c: successor} for each color c the next element may take in
+        block b with mask `own`, b being a label or len(lab) for a block no
+        copy names (`own` 0: a new or free one).  Placing c in b bars
+        colors in b and allows others only there, as the set's
+        `pair_tables` say; a copy one element short bars its last
+        element's colors in the block that element joins, or allows them
+        only in the copy's blocks if it opens one.  Each edit only shrinks
+        where a color is allowed, so they commute.
+        """
+        unl, lab, copies, only = state
+        if state is not self.state:
+            # per label, the copies (and starts) whose next element joins that
+            # block, and those whose next opens one, with the colors it may take
+            self.state, self.joins, self.opens = state, {}, []
+            for cp in itertools.chain(self.starts, copies):
+                p, j, B, C = cp
+                q = self.words[p][j]
+                (self.joins.setdefault(B[q - 1], []) if q <= len(B) else self.opens).append(
+                    (self.colors_at(p, j, C), cp))
+        r, rest, opens = len(lab), unl, self.opens
+        grows = opens if b == r else \
+            self.joins.get(b, []) + [(mask, cp) for mask, cp in opens if b not in cp[2]]
+        if b == r and own:
             i = unl.index(own)
-            targets.append((r, own, len(list(group)), unl[:i] + unl[i + 1:]))
-        out: dict[tuple, int] = {}
-        for b, own, mult, rest in targets:
-            fresh = b == r and not own
-            grows = opens if b == r else \
-                joins.get(b, []) + [(mask, cp) for mask, cp in opens if b not in cp[2]]
-            for c in range(1, k + 1):
-                if (own ^ only) >> c & 1:
-                    continue  # completes a copy
-                # done: (colors, the copy's blocks or its last element's, restrict)
-                grown, done = [], []
-                for mask, (p, j, B, C) in grows:
-                    if not mask >> c & 1:
-                        continue
-                    word = words[p]
-                    if word[j] > len(B):
-                        B += (b,)
-                    if ordered:
-                        C += (c,)
-                    if j + 2 < len(word):
-                        grown.append((p, j + 1, B, C))
-                        continue
-                    # one element short: bar its last element's colors in the
-                    # block it joins, or allow them only in the copy's blocks
-                    # when it opens one
-                    q, last = word[j + 1], colors_at(p, j + 1, C)
-                    done.append((last, B[q - 1], False) if q <= len(B) else (last, B, True))
-                S, D = same[c], other[c]
-                own2 = (own | S) & ~(S & only) ^ D & ~only  # bar S here, allow D only here
-                rest2 = [m & ~D for m in rest if m & ~D] if D else rest
-                if not (grown or done or D and lab) and (b == r or own2 == own):
-                    # the labelled blocks and the copies stay as they are
-                    s2 = (unl if own2 == own and not D else
+            rest = unl[:i] + unl[i + 1:]
+        words, ordered = self.words, self.ordered
+        out = {}
+        for c, (S, D) in enumerate(self.edits, 1):
+            if (own ^ only) >> c & 1:
+                continue  # completes a copy
+            # done: (colors, the copy's blocks or its last element's, restrict)
+            grown, done = [], []
+            for mask, (p, j, B, C) in grows:
+                if not mask >> c & 1:
+                    continue
+                word = words[p]
+                if word[j] > len(B):
+                    B += (b,)
+                if ordered:
+                    C += (c,)
+                if j + 2 < len(word):
+                    grown.append((p, j + 1, B, C))
+                    continue
+                q, last = word[j + 1], self.colors_at(p, j + 1, C)
+                done.append((last, B[q - 1], False) if q <= len(B) else (last, B, True))
+            own2 = (own | S) & ~(S & only) ^ D & ~only  # bar S here, allow D only here
+            rest2 = [m & ~D for m in rest if m & ~D] if D else rest
+            if not (grown or done or D and lab) and (b == r or own2 == own):
+                # the labelled blocks and the copies stay as they are
+                out[c] = (unl if own2 == own and not D else
                           tuple(sorted([*rest2, own2] if own2 else rest2)), lab, copies, only | D)
+                continue
+            masks = [m & ~D for m in (lab if b < r else lab + (own,))]
+            masks[b] = own2
+            only2 = only | D
+            for last, where, restrict in done:
+                if restrict:
+                    masks = [m ^ last & ~only2 if x in where else m & ~last
+                             for x, m in enumerate(masks)]
+                    rest2 = [m & ~last for m in rest2 if m & ~last]
+                    only2 |= last
                 else:
-                    masks = [m & ~D for m in (lab if b < r else lab + (own,))]
-                    masks[b] = own2
-                    only2 = only | D
-                    for last, where, restrict in done:
-                        if restrict:
-                            masks = [m ^ last & ~only2 if x in where else m & ~last
-                                     for x, m in enumerate(masks)]
-                            rest2 = [m & ~last for m in rest2 if m & ~last]
-                            only2 |= last
-                        else:
-                            masks[where] = (masks[where] | last) & ~(last & only2)
-                    s2 = canon(rest2, masks, set(copies).union(grown), only2)
-                # a fresh block is a new one, or one of the `free` ones
-                gained = len(unl) + r - len(s2[0]) - len(s2[1])
-                for key in ((gained + 1, s2, False), (gained, s2, True)) if fresh else \
-                        ((gained, s2, False),):
-                    out[key] = out.get(key, 0) + mult
-        return tuple(out.items())
+                    masks[where] = (masks[where] | last) & ~(last & only2)
+            out[c] = _canon(rest2, masks, set(copies).union(grown), only2)
+        return out
 
-    states = {(0, ((), (), (), only0)): 1}  # (free, (unl, lab, copies, only)): weight
-    memo_moves: dict[tuple, tuple] = {}
-    counts = [1]
-    for _ in range(n):
-        nxt: dict[tuple, int] = {}
-        for (free, state), weight in states.items():
-            out = memo_moves.get(state)
-            if out is None:
-                out = memo_moves[state] = moves(*state)
-            for (gained, state2, per_free), ways in out:
-                ways *= free if per_free else 1
-                if ways:
-                    key = (free + gained, state2)
-                    nxt[key] = nxt.get(key, 0) + weight * ways
-        states = nxt
-        counts.append(sum(states.values()))
+
+def _canon(rest, masks, copies, only):
+    """(unlabelled masks, labelled masks, copies, only): the blocks no copy
+    names go to the sorted masks unless their mask is 0, and the others are
+    relabelled 0, 1, ... by mask and role, which leaves the count unchanged."""
+    roles: dict[int, list] = {}
+    for p, j, B, C in copies:
+        for pos, x in enumerate(B):
+            roles.setdefault(x, []).append((p, j, pos, C))
+    unl = sorted([*rest, *(m for x, m in enumerate(masks) if m and x not in roles)])
+    order = sorted(roles, key=lambda x: (masks[x], sorted(roles[x])))
+    label = dict(zip(order, range(len(order)))).__getitem__
+    return (tuple(unl), tuple(map(masks.__getitem__, order)),
+            tuple(sorted([(p, j, tuple(map(label, B)), C) for p, j, B, C in copies])),
+            only)
+
+
+def _count_residual(n, k, patterns, sense):
+    """Avoider counts [a(0), ..., a(n)] by a forward DP over prefix residuals.
+
+    A prefix matters to its extensions only through the copies they can
+    still complete (the transfer-matrix method, Stanley, EC1 4.7, with
+    states as in Zeilberger's enumeration schemes).  With masks and copies
+    as in `_PatternSet`, a state holds `free`, the nonempty blocks of mask 0
+    no copy names (a next element joins one as it would open a new block);
+    the other such blocks' masks, sorted (the next element goes to each
+    distinct mask once, weighted by how many have it); the masks of the
+    blocks the copies name, labelled 0, 1, ...; the copies two or more
+    elements short; and `only`.  A level maps (free, the id of the rest) to
+    the colored prefixes that reach it; each id's moves are found once.  The
+    cyclic collector is paused: states are tuples of ints, with no cycles.
+    """
+    patterns = tuple(patterns)
+    if any(pi.n == 0 for pi in patterns):
+        return [0] * (n + 1)  # every partition contains the empty pattern
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ps = _PatternSet(k, patterns, sense)
+        seen = [((), (), (), ps.only0)]  # id -> (unl, lab, copies, only)
+        ids = {seen[0]: 0}
+        memo: dict[int, tuple] = {}
+        states, counts = {(0, 0): 1}, [1]
+        for _ in range(n):
+            nxt: dict[tuple, int] = {}
+            for (free, i), weight in states.items():
+                out = memo.get(i)
+                if out is None:
+                    # {(change in free, successor id, joins a free block): ways}
+                    state, moves = seen[i], {}
+                    unl, lab = state[0], state[1]
+                    r, size = len(lab), len(unl) + len(lab)
+                    # (label, mask, blocks like it): labelled, new or free, unlabelled
+                    targets = [(x, m, 1) for x, m in enumerate(lab)] + [(r, 0, 1)] + \
+                        [(r, own, len(list(group))) for own, group in itertools.groupby(unl)]
+                    for b, own, mult in targets:
+                        fresh = b == r and not own
+                        for s2 in ps.step(state, b, own).values():
+                            gained, j = size - len(s2[0]) - len(s2[1]), ids.get(s2)
+                            if j is None:
+                                j = ids[s2] = len(seen)
+                                seen.append(s2)
+                            for key in ((gained + 1, j, False), (gained, j, True)) \
+                                    if fresh else ((gained, j, False),):
+                                moves[key] = moves.get(key, 0) + mult
+                    out = memo[i] = tuple(moves.items())
+                for (gained, j, per_free), ways in out:
+                    ways *= free if per_free else 1
+                    if ways:
+                        key = (free + gained, j)
+                        nxt[key] = nxt.get(key, 0) + weight * ways
+            states = nxt
+            counts.append(sum(states.values()))
+    finally:
+        if enabled:
+            gc.enable()
     return counts
 
 

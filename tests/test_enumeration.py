@@ -1,9 +1,11 @@
 import functools
 import gc
+import importlib.util
 import itertools
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -456,6 +458,69 @@ class TestResidualDP:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+def mixed_sets(seed, count, lengths):
+    """`count` seeded (patterns, sense) draws of 1 to 3 patterns with
+    colors <= 3, each pattern's length drawn from `lengths`."""
+    by_length = {m: [ColoredPattern(w, c, 3) for w in iter_rgs(m)
+                     for c in itertools.product((1, 2, 3), repeat=m)] for m in lengths}
+    rng = random.Random(seed)
+    return [([rng.choice(by_length[rng.choice(lengths)]) for _ in range(rng.randint(1, 3))],
+             rng.choice(list(Sense))) for _ in range(count)]
+
+
+class TestCountsArePolynomialsInK:
+    """In the pattern sense a copy reads only the order type of its colors,
+    so a(n, k) is the sum over j of C(k, j) times the avoiders whose colors
+    are exactly 1..j: a polynomial of degree <= n in k.  In the eq and lt
+    senses a color above the largest pattern color m is in no copy, so
+    a(n, k) is a polynomial of degree <= n in k - m for k >= m.  Either
+    way the (n+1)-th differences over consecutive k vanish."""
+
+    def test_forward_differences_vanish(self):
+        sets = mixed_sets(21, 60, (1, 2, 3, 4))
+        assert {pi.n for S, _ in sets for pi in S} == {1, 2, 3, 4}
+        for S, sense in sets:
+            low = 1 if sense is Sense.PATTERN else max(max(pi.colors) for pi in S)
+            rows = [enumeration._count_residual(4, k, S, sense) for k in range(low, low + 7)]
+            for n in range(5):
+                diffs = [row[n] for row in rows[:n + 3]]
+                for _ in range(n + 1):
+                    diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+                assert diffs == [0, 0], (S, sense, n)
+
+
+@pytest.fixture(scope="module")
+def histogram_6_3():
+    """bench/oracle.py's histogram of Pi_6 wr C_3.  The oracle is written
+    from the definitions and imports nothing from colorpart."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("definitional_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle.Histogram(6, 3)
+
+
+class TestDPAgainstDefinitions:
+    """The residual DP against the definitional oracle at n = 6, k = 3."""
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    def test_every_three_color_three_element_pattern(self, histogram_6_3, sense):
+        patterns = [ColoredPattern(w, c, 3) for w in iter_rgs(3)
+                    for c in itertools.product((1, 2, 3), repeat=3)]
+        assert len(patterns) == 135
+        for pi in patterns:
+            assert enumeration._count_residual(6, 3, (pi,), sense)[6] == \
+                histogram_6_3.count([(pi.word, pi.colors)], sense.value), (pi, sense)
+
+    def test_mixed_length_sets(self, histogram_6_3):
+        # the histogram records sub-pattern types of length 2 and 3 only
+        sets = mixed_sets(8, 40, (2, 3))
+        assert sum(len({pi.n for pi in S}) > 1 for S, _ in sets) >= 10
+        for S, sense in sets:
+            assert enumeration._count_residual(6, 3, S, sense)[6] == \
+                histogram_6_3.count([(pi.word, pi.colors) for pi in S], sense.value), (S, sense)
 
 
 class TestSequencesAndClasses:
