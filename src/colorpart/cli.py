@@ -3,6 +3,9 @@
 Subcommands: count, sequence, classify, verify, bijection.  Exit codes:
 0 success, 1 verification failure, 2 usage/parse error, 3 resource
 limits (including the PPL_NMAX_CAP safety rail).
+
+The parser is built once, when the module is imported, and every `main`
+call in the process parses its argv with that one `PARSER`.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ import argparse
 import csv
 import itertools
 import json
-# argparse's gettext imports locale on every run; loaded with the CLI, no forked request reloads it
-import locale  # noqa: F401
 import os
 import sys
 
@@ -315,19 +316,22 @@ def _add_common(p, nmax=False):
         p.add_argument("-n", type=int, required=True)
 
 
-def _add_count(sub):
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, with every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="colorpart",
+        description="Count and classify colored set partitions avoiding "
+                    "colored partition patterns.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
     p_count = sub.add_parser("count", help="count avoiders at a single n")
     _add_common(p_count)
     p_count.set_defaults(func=cmd_count)
 
-
-def _add_sequence(sub):
     p_seq = sub.add_parser("sequence", help="avoidance sequence for n = 1..nmax")
     _add_common(p_seq, nmax=True)
     p_seq.set_defaults(func=cmd_sequence)
 
-
-def _add_classify(sub):
     p_cls = sub.add_parser("classify",
                            help="empirical Wilf classes over all pattern "
                                 "subsets of a given size")
@@ -336,8 +340,6 @@ def _add_classify(sub):
                        help="pattern subset size (1..6)")
     p_cls.set_defaults(func=cmd_classify)
 
-
-def _add_verify(sub):
     p_ver = sub.add_parser("verify", help="run the verification suite")
     p_ver.add_argument("--all", action="store_true")
     p_ver.add_argument("--tables", action="store_true")
@@ -350,8 +352,6 @@ def _add_verify(sub):
     p_ver.add_argument("--nmax", type=positive_int, default=6)
     p_ver.set_defaults(func=cmd_verify)
 
-
-def _add_bijection(sub):
     p_bij = sub.add_parser("bijection", help="apply a bijection to one object")
     p_bij.add_argument("name", choices=list(_bijection_maps()))
     p_bij.add_argument("input",
@@ -359,45 +359,15 @@ def _add_bijection(sub):
                             "for inverse maps")
     p_bij.add_argument("--format", choices=["table", "json"], default="table")
     p_bij.set_defaults(func=cmd_bijection)
-
-
-# each subcommand with the function that adds its parser, in help order
-_SUBPARSERS = {"count": _add_count, "sequence": _add_sequence,
-               "classify": _add_classify, "verify": _add_verify,
-               "bijection": _add_bijection}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's argument parser.
-
-    Given the name of a subcommand, only that subcommand's parser is
-    built: building all of them costs a small request more than its own
-    work.  Anything else, or nothing, builds the full parser.  Help,
-    usage and error text read the same either way.
-    """
-    parser = argparse.ArgumentParser(
-        prog="colorpart",
-        description="Count and classify colored set partitions avoiding "
-                    "colored partition patterns.")
-    if command in _SUBPARSERS:
-        # the usage line of an unrecognized-arguments error still lists
-        # every subcommand
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{%s}" % ",".join(_SUBPARSERS))
-        _SUBPARSERS[command](sub)
-    else:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBPARSERS.values():
-            add(sub)
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     out = sys.stdout

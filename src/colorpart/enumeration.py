@@ -377,14 +377,30 @@ def count_avoiders(n: int, k: int, patterns: Sequence[ColoredPattern],
     patterns = tuple(patterns)
     if not naive:
         return _count_residual(n, k, patterns, sense)[n]
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1 and n > PREFIX_SPLIT_LENGTH:
-        from concurrent.futures import ProcessPoolExecutor
+    return _naive_counts([patterns], k, sense, (n,), jobs)[0][0]
 
+
+def _naive_counts(sets, k, sense, sizes, jobs):
+    """The oracle's count of each pattern set at each n in `sizes`, one
+    tuple per set.
+
+    A count whose n is larger than the prefix is split by word prefix
+    across at most `jobs` processes (no more than the CPU count), in one
+    pool started for all the counts rather than one per count.
+    """
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers < 2 or max(sizes) <= PREFIX_SPLIT_LENGTH:
+        return [tuple(_count_naive(n, k, s, sense) for n in sizes) for s in sets]
+    from concurrent.futures import ProcessPoolExecutor
+
+    def count(n, patterns):
+        if n <= PREFIX_SPLIT_LENGTH:
+            return _count_naive(n, k, patterns, sense)
         task = functools.partial(_count_naive, n, k, patterns, sense)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(task, iter_rgs(PREFIX_SPLIT_LENGTH), chunksize=4))
-    return _count_naive(n, k, patterns, sense)
+        return sum(pool.map(task, iter_rgs(PREFIX_SPLIT_LENGTH), chunksize=4))
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [tuple(count(n, s) for n in sizes) for s in sets]
 
 
 def _avoider_words(n, k, patterns, sense):
@@ -424,15 +440,20 @@ class AvoidanceSequence:
         return len(self.counts)
 
 
+def _sizes(n_max):
+    """n = 1..n_max, the sizes a sequence counts."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return range(1, n_max + 1)
+
+
 def avoidance_sequence(patterns: Sequence[ColoredPattern], sense: Sense = Sense.PATTERN,
                        k: int = 2, n_max: int = 6, *, naive: bool = False,
                        jobs: int = 1) -> AvoidanceSequence:
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    sizes = _sizes(n_max)
     patterns = tuple(patterns)
     if naive:
-        counts = tuple(count_avoiders(n, k, patterns, sense, naive=True, jobs=jobs)
-                       for n in range(1, n_max + 1))
+        counts = _naive_counts([patterns], k, sense, sizes, jobs)[0]
     else:
         counts = tuple(_count_residual(n_max, k, patterns, sense)[1:])
     return AvoidanceSequence(print_pattern_set(patterns), sense, k, counts)
@@ -456,10 +477,15 @@ def wilf_classify(family: Sequence[Sequence[ColoredPattern]], sense: Sense = Sen
     """Group pattern sets whose count vectors agree for all n <= n_max."""
     if not family:
         raise ValueError("family must be nonempty")
+    sets = [tuple(sorted(patterns, key=lambda p: (p.word, p.colors)))
+            for patterns in family]
+    if naive:
+        # one pool for the whole family, not one per set and n
+        seqs = _naive_counts(sets, k, sense, _sizes(n_max), jobs)
+    else:
+        seqs = [avoidance_sequence(s, sense, k, n_max).counts for s in sets]
     buckets: dict[tuple[int, ...], list[tuple[ColoredPattern, ...]]] = {}
-    for patterns in family:
-        patterns = tuple(sorted(patterns, key=lambda p: (p.word, p.colors)))
-        seq = avoidance_sequence(patterns, sense, k, n_max, naive=naive, jobs=jobs).counts
+    for patterns, seq in zip(sets, seqs):
         buckets.setdefault(seq, []).append(patterns)
     classes = []
     for seq, members in buckets.items():

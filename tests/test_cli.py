@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -274,17 +275,22 @@ class TestBijectionCommand:
         assert "error" in err
 
 
+PARSER_ARGVS = [
+    [cmd, "--help"] for cmd in ("count", "sequence", "classify", "verify", "bijection")
+] + [
+    ["count"], ["count", "-n", "x"], ["count", "-n", "3", "extra"],
+    ["sequence", "--nmax", "4", "-k", "0"], ["classify", "--size", "2"],
+    ["verify", "--all"], ["verify", "--bijection", "nope"], ["verify", "extra"],
+    ["bijection", "f"], ["bijection", "nope", "1"], ["bijection", "f", "1^1", "x"],
+]
+
+
 class TestParser:
-    @pytest.mark.parametrize("argv", [
-        [cmd, "--help"] for cmd in ("count", "sequence", "classify", "verify", "bijection")
-    ] + [
-        ["count"], ["count", "-n", "x"], ["count", "-n", "3", "extra"],
-        ["sequence", "--nmax", "4", "-k", "0"], ["classify", "--size", "2"],
-        ["verify", "--all"], ["verify", "--bijection", "nope"], ["verify", "extra"],
-        ["bijection", "f"], ["bijection", "nope", "1"], ["bijection", "f", "1^1", "x"],
-    ])
+    @pytest.mark.parametrize("argv", PARSER_ARGVS)
     def test_one_subparser_parses_as_all(self, capsys, argv):
-        def outcome(parser):
+        """The shared PARSER, after parsing every other argv, parses this
+        one as a freshly built parser does."""
+        def outcome(parser, argv):
             try:
                 parsed = vars(parser.parse_args(argv))
             except SystemExit as exc:
@@ -292,7 +298,33 @@ class TestParser:
             captured = capsys.readouterr()
             return parsed, captured.out, captured.err
 
-        assert outcome(build_parser(argv[0])) == outcome(build_parser())
+        for other in PARSER_ARGVS:
+            if other != argv:
+                outcome(cli.PARSER, other)
+        assert outcome(cli.PARSER, argv) == outcome(build_parser(), argv)
+
+    def test_requests_build_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "count", "-p", "1^11^2", "-n", "5")[0] == 0
+        assert built == []
+
+    def test_requests_in_a_row_print_as_alone(self, capsys):
+        argvs = [["count", "-p", "1^11^2", "-n", "5", "--format", "json"],
+                 ["count", "-p", "1^11^2", "-n", "5"]]
+        in_a_row = [run(capsys, *argv) for argv in argvs]
+        src = Path(__file__).resolve().parents[1] / "src"
+        alone = [subprocess.run([sys.executable, "-m", "colorpart.cli", *argv],
+                                capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+                 for argv in argvs]
+        assert in_a_row == [(p.returncode, p.stdout, p.stderr) for p in alone]
 
 
 class TestErrorsAndCaps:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from colorpart import enumeration
+from colorpart import cli, enumeration
 from colorpart.avoidance import Sense, avoids_all, contains_colored, copy_ends_at
 from colorpart.core import (
     ColoredPartition,
@@ -145,6 +145,19 @@ class TestCountAvoiders:
         assert started == [2]
         # a length-2 set is counted in-process whatever jobs is
         count_avoiders(7, 2, parse_pattern_set("1^11^2"), jobs=2)
+        assert started == [2]
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--size", "2", "--nmax", "6", "--naive"],
+        ["sequence", "-p", "1^11^2", "--nmax", "8", "--naive"],
+    ])
+    def test_one_pool_per_command(self, monkeypatch, capsys, argv):
+        started = self.recording_pool(monkeypatch)
+        assert cli.main(argv + ["--jobs", "1"]) == 0
+        one_job = capsys.readouterr()
+        assert started == []
+        assert cli.main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr() == one_job
         assert started == [2]
 
     def test_counts_without_naive_start_no_pool(self, monkeypatch):
