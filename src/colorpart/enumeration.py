@@ -480,7 +480,6 @@ def wilf_classify(family: Sequence[Sequence[ColoredPattern]], sense: Sense = Sen
     sets = [tuple(sorted(patterns, key=lambda p: (p.word, p.colors)))
             for patterns in family]
     if naive:
-        # one pool for the whole family, not one per set and n
         seqs = _naive_counts(sets, k, sense, _sizes(n_max), jobs)
     else:
         seqs = [avoidance_sequence(s, sense, k, n_max).counts for s in sets]
