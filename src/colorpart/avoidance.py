@@ -9,15 +9,15 @@ Colored partition patterns can be matched in three senses:
   colors.
 
 Containment is monotone: a partition contains a pattern when a copy
-ends at one of its elements.  What the length-2 members of a pattern
-set forbid is compiled once, by `pair_tables`, into two bitmask tables
-over colors; the containment scan and the counting engines all read
-them.  A copy of any other pattern is found by `copy_ends_at`, which
-pins the copy's last element and reads nothing after it, so one
-left-to-right walk can reject an element as soon as a copy ends there.
-`copy_ends_at` is the one definition of the three senses.  One scan,
-`avoids_all`, serves containment for a whole pattern set, one pattern
-being its smallest case.
+ends at one of its elements.  `copy_test` states that rule once for a
+pattern set, as a test of one element that the scan `avoids_all` and
+the avoider walk `enumeration._walk` both run: what the set's length-2
+members forbid is compiled by `pair_tables` into two bitmask tables over
+colors (the counting DP and the oracle read them too), and a copy of
+any other pattern is found by `copy_ends_at`, which pins the copy's
+last element and reads nothing after it.  `copy_ends_at` is the one
+definition of the three senses; `avoids_all` serves a whole set, one
+pattern being its smallest case.
 
 Vincular (dashed) permutation patterns follow the same rule, in
 `vincular_ends_at` and in the permutation walk `iter_vincular_avoiders`.
@@ -110,38 +110,47 @@ def pair_tables(patterns: tuple[ColoredPattern, ...], sense: Sense, k: int):
     return tuple(same_bad), tuple(diff_bad)
 
 
-def others_mask(own: int, holders: Sequence[int]) -> int:
-    """Colors held by a block other than one whose color mask is `own`.
+def copy_test(patterns: Iterable[ColoredPattern], sense: Sense, k: int):
+    """The containment rule of a pattern set at k colors, as `ends(word, colors, t)`:
+    True iff some pattern has a copy in entries 0..t that ends at t.
 
-    holders[c] counts the blocks holding color c; two blocks may share it.
+    `ends` reads only entries 0..t: earlier entries against the set's
+    `pair_tables`, then `copy_ends_at` for every pattern of another length.
     """
-    return sum(1 << c for c, h in enumerate(holders) if h > (own >> c & 1))
+    patterns = tuple(patterns)
+    same_bad, diff_bad = pair_tables(patterns, sense, k)
+    other_lengths = [pi for pi in patterns if pi.n != 2]
+
+    def ends(word, colors, t):
+        same, diff = same_bad[colors[t]], diff_bad[colors[t]]
+        if same | diff:
+            b = word[t]
+            for i in range(t):
+                if (same if word[i] == b else diff) >> colors[i] & 1:
+                    return True
+        for pi in other_lengths:
+            if copy_ends_at(word, colors, t, pi, sense):
+                return True
+        return False
+
+    return ends
 
 
 def avoids_all(sigma: ColoredPartition, patterns: Iterable[ColoredPattern],
                sense: Sense = Sense.PATTERN) -> bool:
     """True iff `sigma` avoids every pattern in the set (vacuously true for empty sets).
 
-    The one containment scan, by the rule `enumeration._walk` applies
-    as it generates: at each element, the earlier ones are read against
-    the set's `pair_tables`, then a copy of every pattern of another
-    length is looked for that ends there.  The empty pattern is
-    contained in every partition, the empty one too.
+    The one containment scan: no copy may end at any element, by the
+    set's `copy_test`, the rule `enumeration._walk` generates by.  The
+    empty pattern is contained in every partition, the empty one too.
     """
     patterns = tuple(patterns)
     if any(pi.n == 0 for pi in patterns):
         return False
-    same_bad, diff_bad = pair_tables(patterns, sense, sigma.k)
-    other_lengths = [pi for pi in patterns if pi.n != 2]
-    word, colors = sigma.word, sigma.colors
+    ends = copy_test(patterns, sense, sigma.k)
     for t in range(sigma.n):
-        b, same, diff = word[t], same_bad[colors[t]], diff_bad[colors[t]]
-        for i in range(t):
-            if (same if word[i] == b else diff) >> colors[i] & 1:
-                return False
-        for pi in other_lengths:
-            if copy_ends_at(word, colors, t, pi, sense):
-                return False
+        if ends(sigma.word, sigma.colors, t):
+            return False
     return True
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: count, sequence, classify, verify, bijection.  Exit codes:
 0 success, 1 verification failure, 2 usage/parse error, 3 resource
-limits (including the PPL_NMAX_CAP safety rail).
+limits (the PPL_NMAX_CAP safety rail, and exhausted memory, integer
+size or recursion depth).
 
 The parser is built once, when the module is imported, and every `main`
 call in the process parses its argv with that one `PARSER`.
@@ -193,56 +194,49 @@ def _verify_formulas(n_max, out) -> bool:
     return ok
 
 
+def _verify_report(title, report, out) -> bool:
+    """Print a `VerificationReport` check: its verdict, then each failure."""
+    out.write("%s %s\n" % ("PASS" if report.ok else "FAIL", title % len(report.checks)))
+    for failure in report.failures:
+        out.write("  %s\n" % failure)
+    return report.ok
+
+
+def _verify_bijections(names, n, out) -> bool:
+    ok = True
+    for name in names:
+        report = bijections.verify_bijection(name, n)
+        out.write("%s bijection %s at n=%d (domain %d)\n"
+                  % ("PASS" if report.ok else "FAIL", name, n, report.domain_size))
+        for failure in (report.round_trip_failures
+                        + report.membership_failures)[:5]:
+            out.write("  %s\n" % failure)
+        ok &= report.ok
+    return ok
+
+
 def cmd_verify(args, out) -> int:
     small = min(args.nmax, 6)  # the identities' size, and the bijections' default
-    sizes = []  # the largest n each selected check runs at
-    if args.all or args.tables or args.formulas or args.symmetries:
-        sizes.append(args.nmax)
-    if args.all or args.identities:
-        sizes.append(small)
-    if args.all or args.bijection:
-        sizes.append(small if args.n is None else args.n)
-    _check_cap(max(sizes, default=0))
-    ok = True
-    ran = False
-    if args.all or args.tables:
-        ran = True
-        ok &= _verify_tables(args.nmax, out)
-    if args.all or args.formulas:
-        ran = True
-        ok &= _verify_formulas(args.nmax, out)
-    if args.all or args.symmetries:
-        ran = True
-        report = verify_color_symmetries(args.nmax)
-        out.write("%s color symmetries (%d identities)\n"
-                  % ("PASS" if report.ok else "FAIL", len(report.checks)))
-        for failure in report.failures:
-            out.write("  %s\n" % failure)
-        ok &= report.ok
-    if args.all or args.identities:
-        ran = True
-        report = verify_eq_pattern_identities(small)
-        out.write("%s pattern/EQ set identities (%d checks)\n"
-                  % ("PASS" if report.ok else "FAIL", len(report.checks)))
-        for failure in report.failures:
-            out.write("  %s\n" % failure)
-        ok &= report.ok
-    if args.bijection or args.all:
-        ran = True
-        names = [args.bijection] if args.bijection else VERIFIED_BIJECTIONS
-        n = small if args.n is None else args.n
-        for name in names:
-            report = bijections.verify_bijection(name, n)
-            out.write("%s bijection %s at n=%d (domain %d)\n"
-                      % ("PASS" if report.ok else "FAIL", name, n, report.domain_size))
-            for failure in (report.round_trip_failures
-                            + report.membership_failures)[:5]:
-                out.write("  %s\n" % failure)
-            ok &= report.ok
-    if not ran:
+    n = small if args.n is None else args.n
+    names = [args.bijection] if args.bijection else VERIFIED_BIJECTIONS
+    # (selected, the largest n it runs at, the check), in output order
+    checks = [
+        (args.tables, args.nmax, lambda: _verify_tables(args.nmax, out)),
+        (args.formulas, args.nmax, lambda: _verify_formulas(args.nmax, out)),
+        (args.symmetries, args.nmax, lambda: _verify_report(
+            "color symmetries (%d identities)", verify_color_symmetries(args.nmax), out)),
+        (args.identities, small, lambda: _verify_report(
+            "pattern/EQ set identities (%d checks)", verify_eq_pattern_identities(small), out)),
+        (args.bijection, n, lambda: _verify_bijections(names, n, out)),
+    ]
+    selected = [(size, check) for chosen, size, check in checks if args.all or chosen]
+    _check_cap(max((size for size, _ in selected), default=0))
+    if not selected:
         out.write("nothing to verify; pass --all or a specific check\n")
         return EXIT_USAGE
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    # every selected check runs, even after one fails
+    passed = [check() for _, check in selected]
+    return EXIT_OK if all(passed) else EXIT_VERIFY_FAILED
 
 
 def _bijection_maps() -> dict:
@@ -379,7 +373,7 @@ def main(argv=None) -> int:
     except (PartitionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except (MemoryError, OverflowError) as exc:
+    except (MemoryError, OverflowError, RecursionError) as exc:
         print("error: resource exhausted: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
 

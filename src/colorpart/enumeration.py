@@ -7,13 +7,13 @@ may take in one block and the residual each leaves: block color masks,
 edited as `avoidance.pair_tables` says for length-2 patterns, and the
 partial copies of longer ones.  `_count_residual` drives it level by
 level.  Every set's avoiders are generated by one left-to-right walk
-that rejects an element as soon as a copy ends at it: a length-2 copy by
-the `avoidance.pair_tables` of the set, a copy of any other length by
-`avoidance.copy_ends_at`.  Full enumeration serves only as the oracle
-(`naive=True`), the one search split by word prefix across `jobs`
-processes: it tests every raw colored word in the pair sweep it shares
-with `containment_profiles`.  `iter_colored` yields the same elements,
-in the same order, as `ColoredPartition` objects.
+that rejects an element as soon as a copy ends at it, by the per-element
+test `avoidance.copy_test` that the containment scan runs too.  Full
+enumeration serves only as the oracle (`naive=True`), the one search
+split by word prefix across `jobs` processes: it tests every raw colored
+word in the pair sweep it shares with `containment_profiles`.
+`iter_colored` yields the same elements, in the same order, as
+`ColoredPartition` objects.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .avoidance import Sense, copy_ends_at, others_mask, pair_tables
+from .avoidance import Sense, copy_ends_at, copy_test, pair_tables
 from .core import ColoredPartition, ColoredPattern, is_rgs, print_pattern_set
 
 PREFIX_SPLIT_LENGTH = 4
@@ -271,39 +271,28 @@ def _walk(n, k, patterns, sense):
 
     Yields (word, colors) for every avoider, as lists the walk goes on to
     overwrite.  Containment is monotone, so an element is rejected as
-    soon as a copy ends at it.
+    soon as a copy ends at it, by the set's `avoidance.copy_test`.
+    Blocks are tried in ascending order, then colors: the order
+    `verify_eq_pattern_identities` compares two walks in.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if any(pi.n == 0 for pi in patterns):
         return  # every partition contains the empty pattern
-    same_bad, diff_bad = pair_tables(patterns, sense, k)
-    other_lengths = [pi for pi in patterns if pi.n != 2]
+    ends = copy_test(patterns, sense, k)
     word = [0] * n
     colors = [0] * n
-    masks = [0] * (n + 2)     # masks[b]: colors in block b
-    holders = [0] * (k + 1)   # holders[c]: blocks holding color c
 
     def walk(t, top):
         if t == n:
             yield word, colors
             return
         for b in range(1, top + 2):
-            own = masks[b]
-            others = others_mask(own, holders)
             word[t] = b
             for c in range(1, k + 1):
-                if own & same_bad[c] or others & diff_bad[c]:
-                    continue
                 colors[t] = c
-                if any(copy_ends_at(word, colors, t, pi, sense) for pi in other_lengths):
-                    continue
-                fresh = not own >> c & 1
-                masks[b] = own | 1 << c
-                holders[c] += fresh
-                yield from walk(t + 1, max(top, b))
-                masks[b] = own
-                holders[c] -= fresh
+                if not ends(word, colors, t):
+                    yield from walk(t + 1, max(top, b))
 
     yield from walk(0, 0)
 

@@ -80,9 +80,6 @@ class FormulaEntry:
     oeis: str = ""
     note: str = ""
 
-    def __call__(self, n: int) -> int:
-        return closed_form(self, n)
-
 
 def closed_form(entry: FormulaEntry, n: int) -> int:
     """Evaluate an entry's formula; errors below its validity range."""

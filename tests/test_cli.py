@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -372,6 +373,24 @@ class TestErrorsAndCaps:
         assert code == 2
         assert out == ""
         assert err == "error: PPL_NMAX_CAP must be an integer, got 'x'\n"
+
+    def test_deep_input_exhausts_the_stack(self, capsys):
+        # each map recurses once per element, and the count's compiled set
+        # once per pattern element.  At the default limit the count gets
+        # there only after about 17 s of quadratic prefix checks, so the
+        # limit is set 200 frames above this test's own depth.
+        argvs = [["bijection", "f", "/".join("%d^1" % i for i in range(1, 1501))],
+                 ["bijection", "f-inv", ",".join(map(str, range(1500, 0, -1)))],
+                 ["count", "-n", "1", "-p", " ".join(["1^1"] * 1500)]]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+        try:
+            results = [run(capsys, *argv) for argv in argvs]
+        finally:
+            sys.setrecursionlimit(limit)
+        for code, out, err in results:
+            assert (code, out) == (3, "")
+            assert err.startswith("error: resource exhausted: maximum recursion depth exceeded")
 
 
 def test_console_script_entry_point():

@@ -531,9 +531,16 @@ class TestDPAgainstDefinitions:
         # the histogram records sub-pattern types of length 2 and 3 only
         sets = mixed_sets(8, 40, (2, 3))
         assert sum(len({pi.n for pi in S}) > 1 for S, _ in sets) >= 10
+        walked = 0
         for S, sense in sets:
-            assert enumeration._count_residual(6, 3, S, sense)[6] == \
-                histogram_6_3.count([(pi.word, pi.colors) for pi in S], sense.value), (S, sense)
+            expected = histogram_6_3.count([(pi.word, pi.colors) for pi in S], sense.value)
+            assert enumeration._count_residual(6, 3, S, sense)[6] == expected, (S, sense)
+            # the walk too, on every set with a length-2 pattern
+            if any(pi.n == 2 for pi in S):
+                walked += 1
+                assert sum(1 for _ in enumeration._walk(6, 3, tuple(S), sense)) == expected, \
+                    (S, sense)
+        assert walked == 27
 
 
 class TestSequencesAndClasses:
