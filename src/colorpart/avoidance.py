@@ -19,8 +19,9 @@ last element and reads nothing after it.  `copy_ends_at` is the one
 definition of the three senses; `avoids_all` serves a whole set, one
 pattern being its smallest case.
 
-Vincular (dashed) permutation patterns follow the same rule, in
-`vincular_ends_at` and in the permutation walk `iter_vincular_avoiders`.
+Vincular (dashed) permutation patterns run through the same search, in
+the pattern sense, as all-singleton colored patterns with bonds, in
+`contains_vincular` and the permutation walk `iter_vincular_avoiders`.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ def copy_ends_at(word: Sequence[int], colors: Sequence[int], t: int,
     Reads only entries 0..t.  A copy's elements share a block exactly
     when the pattern's do; in the pattern sense their colors are ordered
     as the pattern's, in the eq (lt) sense each color equals (is at
-    most) the pattern's.  Entry t is the copy's last element; the others
-    are chosen left to right, each checked against those already chosen.
-    The empty pattern has no last element, so no copy of it ends anywhere.
+    most) the pattern's; a bonded element (in `pi.bonds`) sits right
+    after the previous one.  Entry t is the copy's last element; the
+    others are chosen left to right, each checked against those already
+    chosen.  The empty pattern has no last element, so no copy of it
+    ends anywhere.
     """
-    pword, pcolors = pi.word, pi.colors
+    pword, pcolors, bonds = pi.word, pi.colors, pi.bonds
     last = len(pword) - 1
     if not 0 <= last <= t:
         return False
@@ -65,13 +68,16 @@ def copy_ends_at(word: Sequence[int], colors: Sequence[int], t: int,
     c, p = colors[t], pcolors[last]
     if eq and c != p or lt and c > p:
         return False
+    tied = last in bonds  # the bond onto the last element pins element last-1 at t-1
     chosen = [(last, t)]  # (position in pi, index into word) of the copy so far
-    s, i = 0, 0           # place the copy's element s at index i or later
+    s, room = 0, t - last  # place the copy's element s at an index in i..room
+    i = t - 1 if tied and last == 1 else 0
     while s < last:
-        if i > t - last + s:  # no room left before t: move element s-1 on
+        if i > room:      # no room left: move element s-1 on
             if s == 0:
                 return False
             s, i = chosen.pop()
+            room = i if s in bonds else t - last + s  # a bonded one had index i only
         else:
             b, c, pb, p = word[i], colors[i], pword[s], pcolors[s]
             if not (eq and c != p or lt and c > p):
@@ -83,6 +89,9 @@ def copy_ends_at(word: Sequence[int], colors: Sequence[int], t: int,
                 else:
                     chosen.append((s, i))
                     s += 1
+                    room = i + 1 if s in bonds else t - last + s
+                    if tied and s == last - 1:
+                        i = t - 2
         i += 1
     return True
 
@@ -110,14 +119,15 @@ def pair_tables(patterns: tuple[ColoredPattern, ...], sense: Sense, k: int):
     return tuple(same_bad), tuple(diff_bad)
 
 
-def copy_test(patterns: Iterable[ColoredPattern], sense: Sense, k: int):
+@functools.lru_cache(maxsize=1024)
+def copy_test(patterns: tuple[ColoredPattern, ...], sense: Sense, k: int):
     """The containment rule of a pattern set at k colors, as `ends(word, colors, t)`:
     True iff some pattern has a copy in entries 0..t that ends at t.
 
     `ends` reads only entries 0..t: earlier entries against the set's
     `pair_tables`, then `copy_ends_at` for every pattern of another length.
+    The test is memoized, so `patterns` must be a tuple.
     """
-    patterns = tuple(patterns)
     same_bad, diff_bad = pair_tables(patterns, sense, k)
     other_lengths = [pi for pi in patterns if pi.n != 2]
 
@@ -165,51 +175,23 @@ def avoids(sigma: ColoredPartition, pi: ColoredPattern,
     return avoids_all(sigma, (pi,), sense)
 
 
-def vincular_ends_at(q: Sequence[int], t: int, p: VincularPattern) -> bool:
-    """True iff a copy of `p` in q[0..t] (distinct entries) has its last entry at t.
-
-    Reads only q[0..t].  A copy's entries are ordered as p's values and
-    bonded ones sit side by side; they are chosen left to right, each
-    checked against all those already chosen.
-    """
-    values, bonds = p.values, p.bonds
-    last = len(values) - 1
-    if not 0 <= last <= t:
-        return False
-    pos = [t] * last  # pos[s]: index into q of the copy's entry s
-
-    def place(s: int, first: int) -> bool:
-        if s == last:
-            return True
-        # beside entry s-1, or anywhere leaving room for entries s+1..last-1
-        final = first if s in bonds else t - last + s
-        if s == last - 1 and last in bonds:  # beside the pinned entry
-            first = t - 1
-        w, below_last = values[s], values[s] < values[last]
-        for i in range(first, final + 1):
-            v = q[i]
-            if ((v < q[t]) == below_last
-                    and all((v < q[pos[a]]) == (w < values[a]) for a in range(s))):
-                pos[s] = i
-                if place(s + 1, i + 1):
-                    return True
-        return False
-
-    return place(0, 0)
-
-
 def contains_vincular(q: Permutation, p: VincularPattern) -> bool:
-    """True iff a copy of `p` ends at some entry of `q`; the empty `p` is everywhere."""
-    return p.m == 0 or any(vincular_ends_at(q.entries, t, p) for t in range(p.m - 1, q.n))
+    """True iff a copy of `p` ends at some entry of `q`; the empty `p` is everywhere.
+
+    `q` is the host whose entries are singleton blocks colored by value.
+    """
+    word = range(1, q.n + 1)
+    return p.m == 0 or any(copy_ends_at(word, q.entries, t, p) for t in range(p.m - 1, q.n))
 
 
 def _vincular_walk(m, patterns, ascent_led=False):
     """Left-to-right walk over the permutations of [m] avoiding `patterns`.
 
     Yields every avoider as the list the walk goes on to overwrite.  A
-    prefix is dropped as soon as a copy ends at its last entry; with
-    `ascent_led`, also as soon as its second entry lies below its first,
-    so only avoiders that begin with an ascent are reached.
+    prefix is dropped as soon as `copy_ends_at` finds a copy ending at
+    its last entry; with `ascent_led`, also as soon as its second entry
+    lies below its first, so only avoiders that begin with an ascent are
+    reached.
     """
     if m < 0:
         raise ValueError("n must be nonnegative")
@@ -218,6 +200,7 @@ def _vincular_walk(m, patterns, ascent_led=False):
         # begins with an ascent
         return
     q = [0] * m
+    word = range(1, m + 1)
 
     def walk(t, rest):
         if not rest:
@@ -226,7 +209,7 @@ def _vincular_walk(m, patterns, ascent_led=False):
             if ascent_led and t == 1 and v < q[0]:
                 continue
             q[t] = v
-            if not any(vincular_ends_at(q, t, p) for p in patterns):
+            if not any(copy_ends_at(word, q, t, p) for p in patterns):
                 yield from walk(t + 1, rest - {v})
 
     yield from walk(0, frozenset(range(1, m + 1)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 
 class PartitionError(ValueError):
@@ -96,6 +96,7 @@ class ColoredPartition:
     word: tuple[int, ...]
     colors: tuple[int, ...]
     k: int = 2
+    bonds: ClassVar[frozenset[int]] = frozenset()  # only a VincularPattern bonds
 
     def __post_init__(self):
         object.__setattr__(self, "word", tuple(self.word))
@@ -309,7 +310,9 @@ class VincularPattern:
     """A dashed permutation pattern; bonded positions must be adjacent.
 
     `bonds` holds the positions i (1-based) such that positions i and
-    i+1 of the pattern must be adjacent in the host.
+    i+1 of the pattern must be adjacent in the host.  Its colored view,
+    matched by `avoidance.copy_ends_at`, has word (1, ..., m) and colors
+    `values`: every element its own block, colored by its value.
     """
 
     values: tuple[int, ...]
@@ -323,6 +326,8 @@ class VincularPattern:
         for b in self.bonds:
             if not 1 <= b <= len(self.values) - 1:
                 raise PartitionError("bond position %d out of range" % b)
+        object.__setattr__(self, "word", tuple(range(1, self.m + 1)))
+        object.__setattr__(self, "colors", self.values)
 
     @property
     def m(self) -> int:

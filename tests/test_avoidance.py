@@ -11,6 +11,7 @@ from colorpart.avoidance import (
     avoids,
     contains_colored,
     contains_vincular,
+    copy_ends_at,
     iter_vincular_avoiders,
 )
 from colorpart.core import (
@@ -211,12 +212,14 @@ class TestVincular:
         assert not contains_vincular(q, parse_vincular("12-3"))
 
 
-def vincular_oracle(q, p):
+def vincular_oracle(q, p, last=None):
     # independent scan over index sets, straight from the definition:
-    # bonded pattern positions sit side by side, values order-isomorphic
+    # bonded pattern positions sit side by side, values order-isomorphic;
+    # given `last`, only the index sets whose last index it is
     return any(all(idx[b] == idx[b - 1] + 1 for b in p.bonds)
                and reduce_word([q[i] for i in idx]) == p.values
-               for idx in combinations(range(q.n), p.m))
+               for idx in combinations(range(q.n), p.m)
+               if last is None or idx[-1] == last)
 
 
 def all_permutations(m):
@@ -228,16 +231,24 @@ P12_3, P214_3, P1_23 = (parse_vincular(t) for t in ("12-3", "214-3", "1-23"))
 
 class TestVincularAgainstOracle:
     # every length-3 pattern under each of its four bond sets, 214-3, and
-    # two of 1324, where the order of entries 0 and 2 follows from no other
+    # two of 1324, where the order of entries 0 and 2 follows from no other;
+    # then every bond position the search handles: none on a length-1
+    # pattern, a bond onto the last element where it is element 1, all
+    # bonds, and a first and a last bond around a free middle
     PATTERNS = [VincularPattern(v, b) for v in permutations((1, 2, 3))
                 for b in ((), (1,), (2,), (1, 2))]
     PATTERNS += [P214_3, parse_vincular("1-3-2-4"), parse_vincular("1-32-4")]
+    PATTERNS += [parse_vincular(t) for t in ("1", "12", "21", "1-2", "2-1", "2413", "13-24")]
 
     def test_contains_matches_oracle(self):
         for m in range(7):
+            word = range(1, m + 1)
             for q in all_permutations(m):
                 for p in self.PATTERNS:
                     assert contains_vincular(q, p) == vincular_oracle(q, p), (q, p)
+                    for t in range(m):  # the pinned search the walk runs
+                        assert (copy_ends_at(word, q.entries, t, p)
+                                == vincular_oracle(q, p, last=t)), (q, p, t)
 
     @pytest.mark.parametrize("patterns,ascent", [
         ((P12_3, P214_3), False),  # the f codomain

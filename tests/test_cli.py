@@ -377,8 +377,9 @@ class TestErrorsAndCaps:
     def test_deep_input_exhausts_the_stack(self, capsys):
         # each map recurses once per element, and the count's compiled set
         # once per pattern element.  At the default limit the count gets
-        # there only after about 17 s of quadratic prefix checks, so the
-        # limit is set 200 frames above this test's own depth.
+        # there only after about 24 s of prefix checks, whose time grows
+        # with the cube of the pattern's length, so the limit is set 200
+        # frames above this test's own depth.
         argvs = [["bijection", "f", "/".join("%d^1" % i for i in range(1, 1501))],
                  ["bijection", "f-inv", ",".join(map(str, range(1500, 0, -1)))],
                  ["count", "-n", "1", "-p", " ".join(["1^1"] * 1500)]]
