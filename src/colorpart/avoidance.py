@@ -72,14 +72,16 @@ def copy_ends_at(word: Sequence[int], colors: Sequence[int], t: int,
     chosen = [(last, t)]  # (position in pi, index into word) of the copy so far
     s, room = 0, t - last  # place the copy's element s at an index in i..room
     i = t - 1 if tied and last == 1 else 0
+    pb, p = pword[0], pcolors[0]  # element s's block and color
     while s < last:
         if i > room:      # no room left: move element s-1 on
             if s == 0:
                 return False
             s, i = chosen.pop()
             room = i if s in bonds else t - last + s  # a bonded one had index i only
+            pb, p = pword[s], pcolors[s]
         else:
-            b, c, pb, p = word[i], colors[i], pword[s], pcolors[s]
+            b, c = word[i], colors[i]
             if not (eq and c != p or lt and c > p):
                 for a, j in chosen:
                     d, q = colors[j], pcolors[a]
@@ -92,6 +94,7 @@ def copy_ends_at(word: Sequence[int], colors: Sequence[int], t: int,
                     room = i + 1 if s in bonds else t - last + s
                     if tied and s == last - 1:
                         i = t - 2
+                    pb, p = pword[s], pcolors[s]
         i += 1
     return True
 
