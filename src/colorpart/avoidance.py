@@ -22,6 +22,9 @@ pattern being its smallest case.
 Vincular (dashed) permutation patterns run through the same search, in
 the pattern sense, as all-singleton colored patterns with bonds, in
 `contains_vincular` and the permutation walk `iter_vincular_avoiders`.
+That search reads only the relative order of the entries, so the walk
+builds each permutation by the rank of its next entry among those
+before it, not by value.
 """
 
 from __future__ import annotations
@@ -188,13 +191,16 @@ def contains_vincular(q: Permutation, p: VincularPattern) -> bool:
 
 
 def _vincular_walk(m, patterns, ascent_led=False):
-    """Left-to-right walk over the permutations of [m] avoiding `patterns`.
+    """Left-to-right walk over the permutations of [m] avoiding `patterns`, by rank.
 
-    Yields every avoider as the list the walk goes on to overwrite.  A
+    A copy depends only on the relative order of its host's entries, so
+    the walk extends a standardized prefix, a permutation of [t], by
+    each rank r = 1..t+1 in turn (prefix entries >= r move up by one).
+    Yields every avoider once, as the list the walk goes on to
+    overwrite, in lexicographic order of the ranks (r_1, ..., r_m).  A
     prefix is dropped as soon as `copy_ends_at` finds a copy ending at
     its last entry; with `ascent_led`, also as soon as its second entry
-    lies below its first, so only avoiders that begin with an ascent are
-    reached.
+    lies below its first, so only avoiders led by an ascent are reached.
     """
     if m < 0:
         raise ValueError("n must be nonnegative")
@@ -205,24 +211,33 @@ def _vincular_walk(m, patterns, ascent_led=False):
     q = [0] * m
     word = range(1, m + 1)
 
-    def walk(t, rest):
-        if not rest:
+    def walk(t):
+        if t == m:
             yield q
-        for v in rest:
-            if ascent_led and t == 1 and v < q[0]:
+            return
+        for i in range(t):
+            q[i] += 1  # rank 1: every prefix entry moves up
+        for r in range(1, t + 2):
+            if r > 1:
+                q[q.index(r, 0, t)] = r - 1  # entry r - 1 lies below rank r
+            if ascent_led and t == 1 and r < q[0]:
                 continue
-            q[t] = v
-            if not any(copy_ends_at(word, q, t, p) for p in patterns):
-                yield from walk(t + 1, rest - {v})
+            q[t] = r
+            for p in patterns:
+                if copy_ends_at(word, q, t, p):
+                    break
+            else:
+                yield from walk(t + 1)
 
-    yield from walk(0, frozenset(range(1, m + 1)))
+    yield from walk(0)
 
 
 def iter_vincular_avoiders(m: int, patterns: Sequence[VincularPattern]
                            ) -> Iterator[Permutation]:
-    """The permutations of [m] avoiding every pattern, by a pruned walk.
+    """The permutations of [m] avoiding every pattern, by a pruned walk by rank.
 
-    A prefix is dropped as soon as a copy ends at its last entry.
+    A prefix is dropped as soon as a copy ends at its last entry; the
+    avoiders come in the rank order of `_vincular_walk`, not by value.
     """
     for q in _vincular_walk(m, patterns):
         yield Permutation(q)

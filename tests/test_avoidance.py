@@ -250,21 +250,26 @@ class TestVincularAgainstOracle:
                         assert (copy_ends_at(word, q.entries, t, p)
                                 == vincular_oracle(q, p, last=t)), (q, p, t)
 
+    # the walk builds by rank, so it relies on a copy ending at entry t
+    # depending only on the prefix's relative order, at every bond position:
+    # the three codomains, then 12-3 alone, the f set led by an ascent and
+    # each single pattern of length 1, 2 and 4 above
     @pytest.mark.parametrize("patterns,ascent", [
         ((P12_3, P214_3), False),  # the f codomain
         ((P1_23,), False),         # the tau codomain
         ((P12_3,), True),          # the g codomain: 12-3-avoiders led by 12
-    ])
+        ((P12_3,), False),
+        ((P12_3, P214_3), True),
+    ] + [((parse_vincular(t),), False)
+         for t in ("1", "12", "21", "1-2", "2-1", "2413", "13-24", "1-3-2-4", "1-32-4")])
     def test_walk_matches_filter(self, patterns, ascent):
         for m in range(8):
-            walked = set(iter_vincular_avoiders(m, patterns))
-            assert len(walked) == len(list(iter_vincular_avoiders(m, patterns)))  # no repeats
-            filtered = {q for q in all_permutations(m)
-                        if not any(vincular_oracle(q, p) for p in patterns)}
-            if ascent:
-                walked = {q for q in walked if begins_with_ascent(q)}
-                filtered = {q for q in filtered if begins_with_ascent(q)}
-            assert walked == filtered, m
+            walked = [tuple(q) for q in _vincular_walk(m, patterns, ascent_led=ascent)]
+            assert len(walked) == len(set(walked)), m  # no repeats
+            filtered = {q.entries for q in all_permutations(m)
+                        if not any(vincular_oracle(q, p) for p in patterns)
+                        and (not ascent or begins_with_ascent(q))}
+            assert set(walked) == filtered, m
 
     def test_ascent_led_walk_prunes_to_the_filter(self):
         for m in range(10):

@@ -185,6 +185,22 @@ class TestVerifyReports:
         with pytest.raises(ValueError):
             verify_bijection("nope", 3)
 
+    def test_domains_not_rechecked(self, monkeypatch):
+        # the domain is enumerated as avoiders and an image reaches the
+        # inverse only once found in the enumerated codomain, so verify
+        # runs the maps without their checks; the public maps keep them
+        def refuse(*args):
+            raise AssertionError("domain re-checked")
+
+        monkeypatch.setattr(bijections, "_require_avoids", refuse)
+        monkeypatch.setattr(bijections, "_require_perm_avoids", refuse)
+        for name in ("f", "tau", "g", "class2", "class3a", "class3b"):
+            assert verify_bijection(name, 4).ok, name
+        with pytest.raises(AssertionError, match="domain re-checked"):
+            bij_f(parse_blocks("1^1"))
+        with pytest.raises(AssertionError, match="domain re-checked"):
+            bij_f_inv(parse_permutation("21"))
+
     @pytest.mark.parametrize("name", ["f", "tau", "g", "class2",
                                       "class3a", "class3b"])
     def test_negative_size_is_refused(self, name):
